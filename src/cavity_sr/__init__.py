@@ -12,17 +12,11 @@ from .params import (ALPHA_SQRT_N, ALPHA_SQRT_N_PLUS_HALF, ConfigurationError,
                      default_horizon, default_time_step, individual_params,
                      validate_params)
 from .series import ObservableSeries, time_grid
-from .wiener import CHUNK_SIZE, TrajectorySchedule, generate_wiener
-from .engine import (EnsembleDivergenceError, EnsembleModel,
-                     euler_maruyama_step, run_ensemble)
-from .collective import (CollectivePhasePoint, collective_drift,
-                         collective_noise, collective_observables,
-                         collective_twa_model, meanfield_collective_rhs,
-                         sample_collective_initial, solve_meanfield_collective,
-                         MeanFieldCollectiveState)
-from .individual import (SpinLatticeState, dtwa_drift, dtwa_noise,
-                         dtwa_observables, individual_dtwa_model,
-                         meanfield_individual_rhs, sample_dtwa_initial,
+from .wiener import CHUNK_SIZE
+from .engine import EnsembleDivergenceError, EnsembleModel, run_ensemble
+from .collective import (collective_twa_model, meanfield_collective_rhs,
+                         solve_meanfield_collective, MeanFieldCollectiveState)
+from .individual import (individual_dtwa_model, meanfield_individual_rhs,
                          solve_meanfield_individual, MeanFieldIndividualState)
 from .oracle import (BasisDescriptor, CutoffSaturationError, DensityMatrix,
                      Liouvillian, build_liouvillian,

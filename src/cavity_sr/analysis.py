@@ -152,21 +152,27 @@ def scaling_sweep(scheme: str, solver: str, n_list: Sequence[int],
 
     dt and t_max follow the N-adapted defaults unless given explicitly; any
     unresolved burst aborts the fit.  The report records per-N divergent
-    trajectory counts and a configuration fingerprint.
+    trajectory counts and a configuration fingerprint.  n_list is checked
+    as a whole before the first solve.
     """
     from .runners import simulate_timeseries
 
-    if len(n_list) < 3:
+    ns = [int(n) for n in n_list]
+    if len(ns) < 3:
         raise ValueError("n_list needs at least 3 atom numbers")
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"atom numbers in n_list must be distinct, got {ns}")
+    if min(ns) < 1:
+        raise ValueError(f"atom numbers in n_list must be >= 1, got {ns}")
     points = []
     divergent = []
     dts = []
-    for n in n_list:
-        p_n = replace(params, n_atoms=int(n))
+    for n in ns:
+        p_n = replace(params, n_atoms=n)
         p_n, num_n = validate_params(p_n, num)
         series, info = simulate_timeseries(scheme, solver, p_n, num_n)
         measurement = emission_strength(series, num_n.smoothing_window)
-        points.append((int(n), measurement.intensity,
+        points.append((n, measurement.intensity,
                        emission_uncertainty(series, measurement)))
         divergent.append(series.n_divergent)
         dts.append(num_n.dt)
@@ -175,7 +181,7 @@ def scaling_sweep(scheme: str, solver: str, n_list: Sequence[int],
     config = {
         "scheme": scheme,
         "solver": solver,
-        "n_list": [int(n) for n in n_list],
+        "n_list": ns,
         "dt": dts,
         "t_max": num.t_max,
         "n_traj": num.n_traj,

@@ -74,13 +74,13 @@ def _cmd_simulate(args) -> int:
     series, info = simulate_timeseries(args.scheme, args.solver, params, num)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_timeseries(series, out / "timeseries.csv")
+    csv = write_timeseries(series, out / "timeseries.csv")
     manifest = RunManifest(config=_config_echo(args, params, num),
                            master_seed=num.seed, solver=info.solver_id,
                            version=__version__, n_divergent=info.n_divergent,
                            wall_clock_s=info.wall_clock_s)
-    write_manifest(manifest, out)
-    print(f"wrote {out / 'timeseries.csv'} ({len(series.times)} points, "
+    write_manifest(manifest, out, [csv])
+    print(f"wrote {csv} ({len(series.times)} points, "
           f"{info.n_divergent} divergent)")
     return 0
 
@@ -101,10 +101,10 @@ def _cmd_sweep(args) -> int:
                            wall_clock_s=time.perf_counter() - start)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_report(report, manifest, out / "report.json")
-    write_manifest(manifest, out)
+    report_path = write_report(report, manifest, out / "report.json")
+    write_manifest(manifest, out, [report_path])
     print(f"zeta = {report.zeta:.4f} +- {report.zeta_stderr:.4f} "
-          f"(r^2 = {report.r_squared:.5f}) -> {out / 'report.json'}")
+          f"(r^2 = {report.r_squared:.5f}) -> {report_path}")
     return 0
 
 

@@ -33,22 +33,6 @@ from .series import ObservableSeries, time_grid
 NOISE_DIM = 6
 
 
-@dataclass(frozen=True)
-class CollectivePhasePoint:
-    """Phase-space amplitudes of the Schwinger modes a, b and the cavity c."""
-
-    alpha: complex
-    beta: complex
-    eta: complex
-
-
-@dataclass(frozen=True)
-class CollectiveDerivative:
-    d_alpha: complex
-    d_beta: complex
-    d_eta: complex
-
-
 @dataclass
 class MeanFieldCollectiveState:
     sz: float
@@ -86,22 +70,6 @@ def _noise(alpha, beta, eta, dW, params: SystemParams):
     return d_alpha, d_beta, d_eta
 
 
-def collective_drift(p: CollectivePhasePoint, params: SystemParams) -> CollectiveDerivative:
-    _require_collective(params)
-    da, db, dh = _drift(p.alpha, p.beta, p.eta, params)
-    return CollectiveDerivative(complex(da), complex(db), complex(dh))
-
-
-def collective_noise(p: CollectivePhasePoint, params: SystemParams, dW) -> CollectiveDerivative:
-    """Noise increments for a 6-component real Wiener block (variance dt)."""
-    _require_collective(params)
-    dW = np.asarray(dW, dtype=float)
-    if dW.shape != (NOISE_DIM,):
-        raise ValueError(f"expected {NOISE_DIM} Wiener increments, got {dW.shape}")
-    da, db, dh = _noise(p.alpha, p.beta, p.eta, dW, params)
-    return CollectiveDerivative(complex(da), complex(db), complex(dh))
-
-
 def _sample_block(n_traj: int, n_atoms: int, rng: np.random.Generator,
                   alpha_sampling: str) -> np.ndarray:
     """(n_traj, 3) complex block for the state |e_1..e_N; 0>.
@@ -120,71 +88,34 @@ def _sample_block(n_traj: int, n_atoms: int, rng: np.random.Generator,
     return block
 
 
-def sample_collective_initial(n_atoms: int, rng: np.random.Generator,
-                              alpha_sampling: str = "sqrt-n") -> CollectivePhasePoint:
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    a, b, h = _sample_block(1, n_atoms, rng, alpha_sampling)[0]
-    return CollectivePhasePoint(a, b, h)
-
-
-def _as_complex_block(ensemble) -> np.ndarray:
-    if isinstance(ensemble, np.ndarray) and ensemble.ndim == 2 and ensemble.shape[1] == 3:
-        return ensemble
-    pts = list(ensemble)
-    if not pts:
-        raise ValueError("empty ensemble")
-    return np.array([[p.alpha, p.beta, p.eta] for p in pts], dtype=complex)
-
-
-def collective_observables(ensemble):
-    """(<S_z>, <c^dag c>) from phase-space samples.
-
-    <S_z> = mean(|alpha|^2 - |beta|^2)/2: the +1/2 symmetric-ordering offsets
-    of the two Schwinger modes cancel.  <c^dag c> = mean|eta|^2 - 1/2.
-    """
-    block = _as_complex_block(ensemble)
-    if block.shape[0] == 0:
-        raise ValueError("empty ensemble")
-    sz = 0.5 * float(np.mean(np.abs(block[:, 0]) ** 2 - np.abs(block[:, 1]) ** 2))
-    photon = float(np.mean(np.abs(block[:, 2]) ** 2)) - 0.5
-    return sz, photon
-
-
 def collective_twa_model(params: SystemParams, num: NumericalParams) -> EnsembleModel:
     """Vectorized TWA model over a (n_traj, 6) real state block.
 
     Adjacent float pairs are the real/imaginary parts of (alpha, beta, eta);
-    the callables view them as a (n_traj, 3) complex block.
+    the callables view the state and output blocks as (n_traj, 3) complex.
     """
     _require_collective(params)
-
-    def view(y):
-        return np.ascontiguousarray(y).view(complex).reshape(y.shape[0], 3)
 
     def sample_initial(n, rng):
         return _sample_block(n, params.n_atoms, rng, num.alpha_sampling) \
             .view(float).reshape(n, 6)
 
-    def drift(y):
-        z = view(y)
-        da, db, dh = _drift(z[:, 0], z[:, 1], z[:, 2], params)
-        return np.stack([da, db, dh], axis=1).view(float).reshape(y.shape)
+    def drift(y, out):
+        z, o = y.view(complex), out.view(complex)
+        o[:, 0], o[:, 1], o[:, 2] = _drift(z[:, 0], z[:, 1], z[:, 2], params)
 
-    def noise(y, dW):
-        z = view(y)
-        da, db, dh = _noise(z[:, 0], z[:, 1], z[:, 2], dW, params)
-        return np.stack([da, db, dh], axis=1).view(float).reshape(y.shape)
+    def noise(y, dW, out):
+        z, o = y.view(complex), out.view(complex)
+        o[:, 0], o[:, 1], o[:, 2] = _noise(z[:, 0], z[:, 1], z[:, 2], dW, params)
 
     def observables(y):
-        z = view(y)
+        z = y.view(complex)
         sz = 0.5 * (np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2)
         photon = np.abs(z[:, 2]) ** 2 - 0.5
         return {"sz": sz, "photon": photon}
 
-    return EnsembleModel(state_dim=6, noise_dim=NOISE_DIM,
-                         sample_initial=sample_initial, drift=drift,
-                         noise=noise, observables=observables)
+    return EnsembleModel(noise_dim=NOISE_DIM, sample_initial=sample_initial,
+                         drift=drift, noise=noise, observables=observables)
 
 
 def meanfield_collective_rhs(s: MeanFieldCollectiveState, params: SystemParams,

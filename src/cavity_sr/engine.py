@@ -4,6 +4,10 @@ Trajectories are integrated in fixed-size chunks (vectorized over the chunk),
 chunks run on a thread pool, and per-chunk statistics are merged in chunk
 order with the pairwise mean/variance combination, so the output is
 bit-identical for any worker count.
+
+Each chunk allocates its state, drift, noise and Wiener buffers once and
+updates them in place; the model callables write into the buffers they are
+given and keep no state of their own, so chunks can run concurrently.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .params import NumericalParams, SystemParams
+from .params import ConfigurationError, NumericalParams, SystemParams
 from .series import ObservableSeries, time_grid
 from .wiener import CHUNK_SIZE, chunk_stream
 
@@ -31,35 +35,36 @@ class EnsembleDivergenceError(RuntimeError):
 class EnsembleModel:
     """Vectorized trajectory model consumed by run_ensemble.
 
-    All callables operate on a (n_traj, state_dim) float64 state block and
-    must be free of shared mutable state:
+    All callables operate on a C-contiguous (n_traj, d) float64 state block
+    y and must be free of shared mutable state:
 
-    sample_initial(n, rng) -> states; drift(states) -> time derivative;
-    noise(states, dW) -> stochastic increment for dW of shape
-    (n_traj, noise_dim) already scaled to variance dt; observables(states) ->
-    {"sz": (n_traj,), "photon": (n_traj,)}.
+    sample_initial(n, rng) -> new state block;
+    drift(y, out) writes the time derivative into out (shaped like y);
+    noise(y, dW, out) writes the stochastic increment into out, for dW of
+    shape (n_traj, noise_dim) already scaled to variance dt;
+    observables(y) -> {"sz": (n_traj,), "photon": (n_traj,)}.
+
+    The out and dW buffers belong to one chunk: run_ensemble allocates them
+    per chunk and never shares them between chunks.
     """
 
-    state_dim: int
     noise_dim: int
     sample_initial: Callable[[int, np.random.Generator], np.ndarray]
-    drift: Callable[[np.ndarray], np.ndarray]
-    noise: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray], None]
+    noise: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     observables: Callable[[np.ndarray], Dict[str, np.ndarray]]
-
-
-def euler_maruyama_step(state, drift, noise, dt, wiener):
-    """One Euler-Maruyama update: state + drift(state)*dt + noise(state, dW).
-
-    Strong order 0.5, weak order 1; drift and noise are each evaluated once.
-    """
-    return state + drift(state) * dt + noise(state, wiener)
 
 
 def _worker_count(n_chunks: int) -> int:
     cap = os.environ.get(MAX_WORKERS_ENV)
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, n_chunks))
+    if not cap:
+        workers = os.cpu_count() or 1
+    elif cap.isdecimal() and int(cap) >= 1:
+        workers = int(cap)
+    else:
+        raise ConfigurationError(
+            [f"{MAX_WORKERS_ENV} must be an integer >= 1, got {cap!r}"])
+    return min(workers, n_chunks)
 
 
 def _run_chunk(model: EnsembleModel, chunk_index: int, n_traj: int,
@@ -67,7 +72,10 @@ def _run_chunk(model: EnsembleModel, chunk_index: int, n_traj: int,
     """Integrate one chunk; return per-observable (count, mean, M2) plus
     the number of divergent trajectories."""
     rng = chunk_stream(master_seed, chunk_index)
-    states = model.sample_initial(n_traj, rng)
+    y = model.sample_initial(n_traj, rng)
+    drift = np.empty_like(y)
+    noise = np.empty_like(y)
+    dW = np.empty((n_traj, model.noise_dim))
     n_rec = nsteps // stride + 1
     rec = {k: np.empty((n_rec, n_traj)) for k in ("sz", "photon")}
     sqrt_dt = np.sqrt(dt)
@@ -75,19 +83,23 @@ def _run_chunk(model: EnsembleModel, chunk_index: int, n_traj: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(nsteps + 1):
             if step % stride == 0:
-                obs = model.observables(states)
+                obs = model.observables(y)
                 rec["sz"][k] = obs["sz"]
                 rec["photon"][k] = obs["photon"]
                 k += 1
             if step == nsteps:
                 break
-            if model.noise_dim:
-                dW = rng.standard_normal((n_traj, model.noise_dim)) * sqrt_dt
-            else:
-                dW = np.zeros((n_traj, 0))
-            states = euler_maruyama_step(states, model.drift, model.noise, dt, dW)
+            rng.standard_normal(out=dW)
+            dW *= sqrt_dt
+            # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place: strong
+            # order 0.5, weak order 1
+            model.drift(y, drift)
+            model.noise(y, dW, noise)
+            drift *= dt
+            y += drift
+            y += noise
 
-    alive = np.isfinite(states).all(axis=1)
+    alive = np.isfinite(y).all(axis=1)
     for buf in rec.values():
         alive &= np.isfinite(buf).all(axis=0)
     n_div = int(n_traj - alive.sum())
@@ -137,8 +149,9 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
     def job(c):
         return _run_chunk(model, c, sizes[c], num.seed, num.dt, nsteps, stride)
 
-    if _worker_count(len(sizes)) > 1:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
+    workers = _worker_count(len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, range(len(sizes))))
     else:
         results = [job(c) for c in range(len(sizes))]

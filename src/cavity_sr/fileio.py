@@ -124,11 +124,11 @@ def read_points_file(path) -> List[tuple]:
     return points
 
 
-def write_manifest(manifest: RunManifest, out_dir) -> Path:
+def write_manifest(manifest: RunManifest, out_dir, outputs) -> Path:
+    """Write out_dir/manifest.json with the SHA-256 of each file in outputs,
+    the files this run wrote; other files in out_dir are not listed."""
     out_dir = Path(out_dir)
-    files = [p for p in sorted(out_dir.iterdir())
-             if p.is_file() and p.name != "manifest.json"]
-    manifest.outputs = {p.name: sha256_file(p) for p in files}
+    manifest.outputs = {Path(p).name: sha256_file(p) for p in outputs}
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
     return path

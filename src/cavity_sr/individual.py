@@ -37,20 +37,6 @@ from .params import NumericalParams, SystemParams, SCHEME_INDIVIDUAL
 from .series import ObservableSeries, time_grid
 
 
-@dataclass(frozen=True)
-class SpinLatticeState:
-    """N real spin vectors plus the complex cavity amplitude."""
-
-    spins: np.ndarray   # (N, 3) float
-    eta: complex
-
-
-@dataclass(frozen=True)
-class DtwaDerivative:
-    d_spins: np.ndarray  # (N, 3) float
-    d_eta: complex
-
-
 @dataclass
 class MeanFieldIndividualState:
     """Per-atom <sigma_z> (real) and <sigma_+> (complex), plus <c>."""
@@ -89,26 +75,6 @@ def _noise(sx, sy, sz, dW_atoms, dW_cavity, params: SystemParams):
     return nx, ny, nz, n_eta
 
 
-def dtwa_drift(state: SpinLatticeState, params: SystemParams) -> DtwaDerivative:
-    _require_individual(params)
-    s = np.asarray(state.spins, dtype=float)
-    dsx, dsy, dsz, d_eta = _drift(s[:, 0], s[:, 1], s[:, 2],
-                                  np.asarray(state.eta), params)
-    return DtwaDerivative(np.stack([dsx, dsy, dsz], axis=1), complex(d_eta))
-
-
-def dtwa_noise(state: SpinLatticeState, params: SystemParams, dW) -> DtwaDerivative:
-    """Increments for a Wiener block of N per-atom values plus 2 cavity values."""
-    _require_individual(params)
-    s = np.asarray(state.spins, dtype=float)
-    n = s.shape[0]
-    dW = np.asarray(dW, dtype=float)
-    if dW.shape != (n + 2,):
-        raise ValueError(f"expected {n + 2} Wiener increments, got {dW.shape}")
-    nx, ny, nz, n_eta = _noise(s[:, 0], s[:, 1], s[:, 2], dW[:n], dW[n:], params)
-    return DtwaDerivative(np.stack([nx, ny, nz], axis=1), complex(n_eta))
-
-
 def _sample_spins(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
     """(n_traj, N, 3) block: (s_x, s_y, s_z) in {(+-1, +-1, 1)}, equal weight."""
     spins = np.empty((n_traj, n_atoms, 3))
@@ -118,35 +84,24 @@ def _sample_spins(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.nda
     return spins
 
 
-def sample_dtwa_initial(n_atoms: int, rng: np.random.Generator) -> SpinLatticeState:
-    """Fully excited lattice: discrete Wigner sampling of the transverse
-    components, cavity in the vacuum Wigner distribution (<|eta|^2> = 1/2)."""
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    spins = _sample_spins(1, n_atoms, rng)[0]
-    re, im = rng.standard_normal(2)
-    return SpinLatticeState(spins, 0.5 * (re + 1j * im))
-
-
-def dtwa_observables(ensemble):
-    """(<S_z>, <c^dag c>) over an ensemble of SpinLatticeState."""
-    states = list(ensemble)
-    if not states:
-        raise ValueError("empty ensemble")
-    sz = float(np.mean([s.spins[:, 2].sum() for s in states])) / 2.0
-    photon = float(np.mean([abs(s.eta) ** 2 for s in states])) - 0.5
-    return sz, photon
-
-
 def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> EnsembleModel:
     """Vectorized DTWA model over a (n_traj, 3N + 2) real state block:
-    columns [s_x (N), s_y (N), s_z (N), Re eta, Im eta]."""
+    columns [s_x (N), s_y (N), s_z (N), Re eta, Im eta].
+
+    The spin columns of the initial block are discrete Wigner samples of the
+    fully excited lattice; the cavity starts in the vacuum Wigner
+    distribution (<|eta|^2> = 1/2)."""
     _require_individual(params)
     n = params.n_atoms
 
     def split(y):
         return (y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n],
                 y[:, 3 * n] + 1j * y[:, 3 * n + 1])
+
+    def targets(out):
+        """Writable views of out, matching the parts split() returns."""
+        return (out[:, :n], out[:, n:2 * n], out[:, 2 * n:3 * n],
+                out[:, 3 * n:].view(complex)[:, 0])
 
     def sample_initial(m, rng):
         spins = _sample_spins(m, n, rng)
@@ -157,31 +112,24 @@ def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> Ensembl
         y[:, 3 * n:] = 0.5 * rng.standard_normal((m, 2))
         return y
 
-    def pack(dsx, dsy, dsz, d_eta, shape):
-        out = np.empty(shape)
-        out[:, :n] = dsx
-        out[:, n:2 * n] = dsy
-        out[:, 2 * n:3 * n] = dsz
-        out[:, 3 * n] = np.real(d_eta)
-        out[:, 3 * n + 1] = np.imag(d_eta)
-        return out
-
-    def drift(y):
+    def drift(y, out):
         sx, sy, sz, eta = split(y)
-        return pack(*_drift(sx, sy, sz, eta, params), y.shape)
+        ox, oy, oz, oh = targets(out)
+        ox[...], oy[...], oz[...], oh[...] = _drift(sx, sy, sz, eta, params)
 
-    def noise(y, dW):
+    def noise(y, dW, out):
         sx, sy, sz, _ = split(y)
-        return pack(*_noise(sx, sy, sz, dW[:, :n], dW[:, n:], params), y.shape)
+        ox, oy, oz, oh = targets(out)
+        ox[...], oy[...], oz[...], oh[...] = \
+            _noise(sx, sy, sz, dW[:, :n], dW[:, n:], params)
 
     def observables(y):
         _, _, sz, eta = split(y)
         return {"sz": 0.5 * sz.sum(axis=1),
                 "photon": np.abs(eta) ** 2 - 0.5}
 
-    return EnsembleModel(state_dim=3 * n + 2, noise_dim=n + 2,
-                         sample_initial=sample_initial, drift=drift,
-                         noise=noise, observables=observables)
+    return EnsembleModel(noise_dim=n + 2, sample_initial=sample_initial,
+                         drift=drift, noise=noise, observables=observables)
 
 
 def meanfield_individual_rhs(s: MeanFieldIndividualState,

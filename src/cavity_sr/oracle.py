@@ -15,7 +15,7 @@ saturation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -66,12 +66,6 @@ class DensityMatrix:
         d = self.basis.dim
         if self.data.shape != (d, d):
             raise ValueError(f"density matrix shape {self.data.shape} != ({d}, {d})")
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.data - self.data.conj().T)))
-
-    def trace_defect(self) -> float:
-        return abs(float(np.trace(self.data).real) - 1.0)
 
 
 class Liouvillian:

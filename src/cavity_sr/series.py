@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class ObservableSeries:
     @property
     def sz_norm(self) -> np.ndarray:
         return 2.0 * self.sz_mean / self.n_atoms
-
-    @property
-    def dt_grid(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
 def time_grid(dt: float, t_max: float, max_points: int = 1201):

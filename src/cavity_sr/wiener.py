@@ -1,52 +1,20 @@
 """Reproducible Wiener-increment streams.
 
-Every stream is a pure function of the master seed plus a structural index,
-so results are independent of execution order and thread count:
-
-* generate_wiener(schedule, step, count) keys the stream on
-  (master_seed, trajectory_index, step) - random access for single
-  trajectories and tests.
-* chunk_stream(master_seed, chunk_index) keys a sequential stream on
-  (master_seed, chunk_index) - used by the ensemble runner, which partitions
-  trajectories into fixed-size chunks (CHUNK_SIZE, independent of worker
-  count), so the increments seen by trajectory m depend only on
-  (master_seed, m // CHUNK_SIZE, m % CHUNK_SIZE, step).
-
-The two key spaces use spawn keys of different lengths and cannot collide.
+chunk_stream(master_seed, chunk_index) is a sequential generator keyed on
+(master_seed, chunk_index), a pure function of the two, so results are
+independent of execution order and thread count.  The ensemble runner
+partitions trajectories into fixed-size chunks (CHUNK_SIZE, independent of
+worker count), so the increments seen by trajectory m depend only on
+(master_seed, m // CHUNK_SIZE, m % CHUNK_SIZE, step).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Trajectories per vectorized ensemble chunk. Fixed: changing it changes the
 # mapping of trajectories to noise streams (but never the statistics).
 CHUNK_SIZE = 256
-
-
-@dataclass(frozen=True)
-class TrajectorySchedule:
-    """Identifies one trajectory's noise stream within a run."""
-
-    master_seed: int
-    trajectory_index: int
-    n_steps: int
-    dt: float
-
-
-def generate_wiener(schedule: TrajectorySchedule, step: int, count: int) -> np.ndarray:
-    """Gaussian(0, dt) increments for one (trajectory, step); bit-reproducible."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    seq = np.random.SeedSequence(
-        entropy=schedule.master_seed,
-        spawn_key=(schedule.trajectory_index, step),
-    )
-    rng = np.random.default_rng(seq)
-    return rng.standard_normal(count) * math.sqrt(schedule.dt)
 
 
 def chunk_stream(master_seed: int, chunk_index: int) -> np.random.Generator:

@@ -68,6 +68,24 @@ class TestSimulate:
         assert (tmp_path / "a/timeseries.csv").read_bytes() == \
             (tmp_path / "b/timeseries.csv").read_bytes()
 
+    # SHA-256 of the seed-0 timeseries.csv (numpy 2.4.6). The seed fixes the
+    # bits of the stochastic output, so a new digest means the sampling, the
+    # noise stream or the integrator arithmetic changed.
+    @pytest.mark.parametrize("scheme, solver, n_atoms, g, kappa, digest", [
+        ("collective", "twa", "20", "4", "10",
+         "41d8cf3d73685b9e36bfa3d0f3c9089f05547d0af32d6ff5715e153ea8c309eb"),
+        ("individual", "dtwa", "6", "2", "20",
+         "bddfc4c75b6bd51dfed9d9087102ed2b54a3ade4d1ba4072bd7a6b8d32f00db7"),
+    ], ids=["twa", "dtwa"])
+    def test_seed_zero_output_bits_are_pinned(self, tmp_path, scheme, solver,
+                                              n_atoms, g, kappa, digest):
+        assert run_cli("simulate", "--scheme", scheme, "--solver", solver,
+                       "--n-atoms", n_atoms, "--g", g, "--kappa", kappa,
+                       "--trajectories", "300", "--t-max", "0.3", "--seed", "0",
+                       "--out", str(tmp_path)) == 0
+        csv = (tmp_path / "timeseries.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == digest
+
     def test_oracle_solver_runs(self, tmp_path):
         code = run_cli("simulate", "--scheme", "collective", "--solver",
                        "oracle", "--n-atoms", "2", "--t-max", "1.0",
@@ -132,6 +150,36 @@ class TestSweepAndCheck:
         assert report.zeta == pytest.approx(exact.zeta, abs=0.01)
         manifest = json.loads((out / "manifest.json").read_text())
         assert "report.json" in manifest["outputs"]
+
+    def test_manifest_lists_only_files_the_run_wrote(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "stale.csv").write_text("n,intensity\n1,1\n")
+        assert run_cli("sweep", "--scheme", "collective", "--solver",
+                       "meanfield", "--n-list", "25,50,100", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == ["report.json"]
+        assert run_cli("simulate", "--scheme", "collective", "--solver",
+                       "meanfield", "--n-atoms", "10", "--t-max", "0.5",
+                       "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == ["timeseries.csv"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--n-list", "50,50,100"],
+        ["--n-list", "50,100,0"],
+        ["--n-list", "50,100,200", "--trajectories", "0"],
+    ], ids=["duplicate-n", "zero-n", "zero-trajectories"])
+    def test_bad_sweep_input_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                                    extra):
+        from cavity_sr import runners
+        calls = []
+        monkeypatch.setattr(runners, "simulate_timeseries",
+                            lambda *args: calls.append(args))
+        code = run_cli("sweep", "--scheme", "collective", "--solver",
+                       "meanfield", *extra, "--out", str(tmp_path))
+        assert code == 1
+        assert calls == []
 
     def test_check_passes_for_equivalent_reports(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from cavity_sr import (CollectivePhasePoint, MeanFieldCollectiveState,
-                       NumericalParams, collective_drift, collective_noise,
-                       collective_observables, collective_params,
-                       collective_twa_model, meanfield_collective_rhs,
-                       sample_collective_initial, solve_meanfield_collective,
+from cavity_sr import (MeanFieldCollectiveState, NumericalParams,
+                       collective_params, collective_twa_model,
+                       meanfield_collective_rhs, solve_meanfield_collective,
                        validate_params)
 from cavity_sr.params import ALPHA_SQRT_N_PLUS_HALF, SystemParams
 
@@ -17,66 +15,87 @@ def cparams(**kw):
     return SystemParams(**defaults)
 
 
+def point(alpha, beta, eta):
+    """(1, 6) real state block holding one phase-space point."""
+    return np.array([[alpha, beta, eta]], dtype=complex).view(float)
+
+
+def drift_at(params, alpha, beta, eta):
+    """(d_alpha, d_beta, d_eta) of the model drift at one point."""
+    out = np.empty((1, 6))
+    collective_twa_model(params, NumericalParams()).drift(point(alpha, beta, eta), out)
+    return out.view(complex)[0]
+
+
+def noise_at(params, alpha, beta, eta, dW):
+    """Model noise increments at one point for a 6-component Wiener block."""
+    out = np.empty((1, 6))
+    collective_twa_model(params, NumericalParams()).noise(
+        point(alpha, beta, eta), np.asarray(dW, dtype=float).reshape(1, 6), out)
+    return out.view(complex)[0]
+
+
+def observables_of(block):
+    """Ensemble means of the model observables over a (n, 3) complex block."""
+    obs = collective_twa_model(cparams(), NumericalParams()).observables(
+        np.array(block, dtype=complex).view(float))
+    return float(np.mean(obs["sz"])), float(np.mean(obs["photon"]))
+
+
 class TestDrift:
     def test_free_point_has_zero_derivative(self):
-        d = collective_drift(CollectivePhasePoint(1 + 2j, 0.5j, -3.0), cparams())
-        assert d.d_alpha == d.d_beta == d.d_eta == 0
+        d_alpha, d_beta, d_eta = drift_at(cparams(), 1 + 2j, 0.5j, -3.0)
+        assert d_alpha == d_beta == d_eta == 0
 
     def test_vacuum_fluctuation_damping_of_alpha(self):
         # Gamma = 1, (alpha, beta, eta) = (2, 0, 0): d_alpha = -Gamma/2 * alpha... * (|b|^2+1/2)
-        d = collective_drift(CollectivePhasePoint(2.0, 0.0, 0.0), cparams(gamma_col=1.0))
-        assert d.d_alpha == pytest.approx(-1.0)
-        assert d.d_beta == 0 and d.d_eta == 0
+        d_alpha, d_beta, d_eta = drift_at(cparams(gamma_col=1.0), 2.0, 0.0, 0.0)
+        assert d_alpha == pytest.approx(-1.0)
+        assert d_beta == 0 and d_eta == 0
 
     def test_generic_substitution(self):
         # independent symbolic substitution into the drift equations
         p = cparams(omega_a=4.0, omega_c=1.0, g=1.0, gamma_col=0.5, kappa=0.5)
-        d = collective_drift(CollectivePhasePoint(1.0, 1.0, 1.0), p)
-        assert d.d_alpha == pytest.approx(-0.75 - 2.0j)
-        assert d.d_beta == pytest.approx(0.25 + 0.0j)
-        assert d.d_eta == pytest.approx(-0.5 - 2.0j)
+        d_alpha, d_beta, d_eta = drift_at(p, 1.0, 1.0, 1.0)
+        assert d_alpha == pytest.approx(-0.75 - 2.0j)
+        assert d_beta == pytest.approx(0.25 + 0.0j)
+        assert d_eta == pytest.approx(-0.5 - 2.0j)
 
     def test_generic_complex_point(self):
         # frozen CAS values at a non-symmetric phase-space point
         p = cparams(omega_a=2.0, omega_c=3.0, g=1.5, gamma_col=0.75, kappa=0.4)
-        d = collective_drift(CollectivePhasePoint(0.5 + 2j, -1 + 1j / 3, 0.25 - 1j), p)
-        assert d.d_alpha == pytest.approx(2.0208333333333335 - 2.7916666666666665j)
-        assert d.d_beta == pytest.approx(-1.4791666666666667 + 3.25j)
-        assert d.d_eta == pytest.approx(-6.35 - 0.6j)
+        d_alpha, d_beta, d_eta = drift_at(p, 0.5 + 2j, -1 + 1j / 3, 0.25 - 1j)
+        assert d_alpha == pytest.approx(2.0208333333333335 - 2.7916666666666665j)
+        assert d_beta == pytest.approx(-1.4791666666666667 + 3.25j)
+        assert d_eta == pytest.approx(-6.35 - 0.6j)
 
 
 class TestNoise:
     def test_noiseless_limit(self):
-        d = collective_noise(CollectivePhasePoint(1.0, 2.0, 3.0), cparams(),
-                             np.ones(6))
-        assert d.d_alpha == d.d_beta == d.d_eta == 0
+        d_alpha, d_beta, d_eta = noise_at(cparams(), 1.0, 2.0, 3.0, np.ones(6))
+        assert d_alpha == d_beta == d_eta == 0
 
     def test_negative_radicand_clamped(self):
         # |alpha|^2 = 0.25 -> Gamma(|alpha|^2 - 1/2) < 0 -> beta noise clamped
-        d = collective_noise(CollectivePhasePoint(0.5, 1.0, 0.0),
-                             cparams(gamma_col=1.0), np.ones(6))
-        assert d.d_beta == 0
-        assert abs(d.d_alpha) > 0
+        d_alpha, d_beta, _ = noise_at(cparams(gamma_col=1.0), 0.5, 1.0, 0.0,
+                                      np.ones(6))
+        assert d_beta == 0
+        assert abs(d_alpha) > 0
 
     def test_alpha_noise_amplitude(self):
         # Gamma = 1, beta = 0, dW = (1,0,0,0,0,0): delta alpha = sqrt(1/4) = 0.5
-        d = collective_noise(CollectivePhasePoint(1.0, 0.0, 0.0),
-                             cparams(gamma_col=1.0),
-                             np.array([1.0, 0, 0, 0, 0, 0]))
-        assert d.d_alpha == pytest.approx(0.5)
+        d_alpha, _, _ = noise_at(cparams(gamma_col=1.0), 1.0, 0.0, 0.0,
+                                 [1.0, 0, 0, 0, 0, 0])
+        assert d_alpha == pytest.approx(0.5)
 
     def test_amplitudes_always_real_nonnegative(self):
         rng = np.random.default_rng(0)
         p = cparams(gamma_col=1.3, kappa=0.7)
         for _ in range(200):
             a, b, h = rng.standard_normal(6).view(complex)
-            d = collective_noise(CollectivePhasePoint(a, b, h), p, np.ones(6))
+            d = noise_at(p, a, b, h, np.ones(6))
             # dW = (1,...,1): increment must be finite, never nan from sqrt(<0)
-            assert np.isfinite([d.d_alpha, d.d_beta, d.d_eta]).all()
-
-    def test_wrong_block_size_rejected(self):
-        with pytest.raises(ValueError, match="6"):
-            collective_noise(CollectivePhasePoint(0, 0, 0), cparams(), np.ones(4))
+            assert np.isfinite(d).all()
 
 
 class TestSampling:
@@ -97,10 +116,12 @@ class TestSampling:
 
     def test_alpha_amplitude_conventions(self):
         rng = np.random.default_rng(5)
-        pt = sample_collective_initial(64, rng)
-        assert abs(pt.alpha) == pytest.approx(8.0)
-        pt2 = sample_collective_initial(64, rng, ALPHA_SQRT_N_PLUS_HALF)
-        assert abs(pt2.alpha) == pytest.approx(np.sqrt(64.5))
+        p = cparams(n_atoms=64)
+        y = collective_twa_model(p, NumericalParams()).sample_initial(1, rng)
+        assert abs(y.view(complex)[0, 0]) == pytest.approx(8.0)
+        num = NumericalParams(alpha_sampling=ALPHA_SQRT_N_PLUS_HALF)
+        y2 = collective_twa_model(p, num).sample_initial(1, rng)
+        assert abs(y2.view(complex)[0, 0]) == pytest.approx(np.sqrt(64.5))
 
     def test_phase_is_uniform(self):
         rng = np.random.default_rng(9)
@@ -112,12 +133,12 @@ class TestSampling:
 
 class TestObservables:
     def test_full_inversion(self):
-        sz, photon = collective_observables([CollectivePhasePoint(np.sqrt(16), 0, 0)])
+        sz, photon = observables_of([[np.sqrt(16), 0, 0]])
         assert sz == pytest.approx(8.0)
         assert photon == pytest.approx(-0.5)
 
     def test_balanced_modes_give_zero(self):
-        sz, _ = collective_observables([CollectivePhasePoint(1.0, 1.0, 0.0)])
+        sz, _ = observables_of([[1.0, 1.0, 0.0]])
         assert sz == 0
 
     def test_vacuum_cavity_photon_number(self):
@@ -125,12 +146,8 @@ class TestObservables:
         eta = 0.5 * (rng.standard_normal(500_000) + 1j * rng.standard_normal(500_000))
         block = np.zeros((500_000, 3), dtype=complex)
         block[:, 2] = eta
-        _, photon = collective_observables(block)
+        _, photon = observables_of(block)
         assert photon == pytest.approx(0.0, abs=0.005)
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            collective_observables([])
 
 
 class TestMeanField:
@@ -166,8 +183,10 @@ class TestMeanField:
 def integrate_drift_only(params, y0, dt, nsteps):
     model = collective_twa_model(params, NumericalParams())
     y = y0.copy()
+    d = np.empty_like(y)
     for _ in range(nsteps):
-        y = y + model.drift(y) * dt
+        model.drift(y, d)
+        y = y + d * dt
     return y
 
 

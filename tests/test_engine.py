@@ -3,32 +3,46 @@ import os
 import numpy as np
 import pytest
 
-from cavity_sr import (EnsembleDivergenceError, EnsembleModel, NumericalParams,
-                       euler_maruyama_step, individual_params, run_ensemble)
+from cavity_sr import (ConfigurationError, EnsembleDivergenceError,
+                       EnsembleModel, NumericalParams, individual_params,
+                       run_ensemble)
 from cavity_sr.engine import MAX_WORKERS_ENV
 from cavity_sr.individual import individual_dtwa_model
 
 
+def fixed_point_model(y0):
+    """Zero drift and noise: every trajectory stays at y0 (a 2-vector)."""
+    return EnsembleModel(
+        noise_dim=1,
+        sample_initial=lambda n, rng: np.tile(y0, (n, 1)),
+        drift=lambda y, out: np.multiply(0.0, y, out=out),
+        noise=lambda y, dW, out: np.multiply(0.0, y, out=out),
+        observables=lambda y: {"sz": y[:, 0], "photon": y[:, 1]},
+    )
+
+
 def test_step_identity_with_zero_fields():
-    state = np.array([[1.0, -2.0]])
-    out = euler_maruyama_step(state, lambda y: 0.0 * y,
-                              lambda y, w: 0.0 * y, 0.1, None)
-    np.testing.assert_array_equal(out, state)
+    params = individual_params(n_atoms=1)
+    num = NumericalParams(n_traj=1, seed=0, dt=0.1, t_max=1.0)
+    series = run_ensemble(fixed_point_model([1.0, -2.0]), params, num)
+    np.testing.assert_array_equal(series.sz_mean, 1.0)
+    np.testing.assert_array_equal(series.photon_mean, -2.0)
 
 
 def test_step_scalar_decay():
-    out = euler_maruyama_step(np.array([1.0]), lambda y: -y,
-                              lambda y, w: 0.0 * y, 0.1, None)
-    assert out[0] == pytest.approx(0.9)
+    params = individual_params(n_atoms=1)
+    num = NumericalParams(n_traj=1, seed=0, dt=0.1, t_max=0.1)
+    series = run_ensemble(exponential_model(), params, num)
+    assert series.sz_mean[1] == pytest.approx(0.9)
 
 
 def ou_model(sigma):
     """dx = -x dt + sigma dW, x0 = 0."""
     return EnsembleModel(
-        state_dim=1, noise_dim=1,
+        noise_dim=1,
         sample_initial=lambda n, rng: np.zeros((n, 1)),
-        drift=lambda y: -y,
-        noise=lambda y, dW: sigma * dW,
+        drift=lambda y, out: np.negative(y, out=out),
+        noise=lambda y, dW, out: np.multiply(sigma, dW, out=out),
         observables=lambda y: {"sz": y[:, 0], "photon": y[:, 0] ** 2},
     )
 
@@ -48,10 +62,10 @@ def test_ou_variance_matches_closed_form():
 
 def exponential_model():
     return EnsembleModel(
-        state_dim=1, noise_dim=0,
+        noise_dim=0,
         sample_initial=lambda n, rng: np.ones((n, 1)),
-        drift=lambda y: -y,
-        noise=lambda y, dW: 0.0 * y,
+        drift=lambda y, out: np.negative(y, out=out),
+        noise=lambda y, dW, out: np.multiply(0.0, y, out=out),
         observables=lambda y: {"sz": y[:, 0], "photon": 0.0 * y[:, 0]},
     )
 
@@ -98,6 +112,15 @@ def test_thread_count_does_not_change_bits():
     np.testing.assert_array_equal(serial.photon_mean, threaded.photon_mean)
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_bad_worker_count_is_a_configuration_error(monkeypatch, value):
+    monkeypatch.setenv(MAX_WORKERS_ENV, value)
+    params = individual_params(n_atoms=1)
+    num = NumericalParams(n_traj=10, seed=0, dt=0.1, t_max=0.2)
+    with pytest.raises(ConfigurationError, match=f"{MAX_WORKERS_ENV}.*{value}"):
+        run_ensemble(exponential_model(), params, num)
+
+
 def test_same_seed_same_bits_and_new_seed_new_sample():
     params = individual_params(n_atoms=5)
     num = NumericalParams(n_traj=300, seed=3, dt=1e-3, t_max=0.2)
@@ -129,13 +152,12 @@ def divergent_model(fraction):
         y[:, 1] = rng.uniform(0, 1, n)
         return y
 
-    def drift(y):
-        d = np.zeros_like(y)
-        d[:, 0] = np.where(y[:, 1] > 1 - fraction, np.inf, -y[:, 0])
-        return d
+    def drift(y, out):
+        out[:] = 0.0
+        out[:, 0] = np.where(y[:, 1] > 1 - fraction, np.inf, -y[:, 0])
 
-    return EnsembleModel(state_dim=2, noise_dim=0, sample_initial=sample,
-                         drift=drift, noise=lambda y, w: 0.0 * y,
+    return EnsembleModel(noise_dim=0, sample_initial=sample, drift=drift,
+                         noise=lambda y, dW, out: np.multiply(0.0, y, out=out),
                          observables=lambda y: {"sz": y[:, 0], "photon": y[:, 1]})
 
 

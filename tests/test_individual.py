@@ -1,11 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cavity_sr import (MeanFieldIndividualState, NumericalParams,
-                       SpinLatticeState, dtwa_drift, dtwa_noise,
-                       dtwa_observables, individual_dtwa_model,
-                       individual_params, meanfield_individual_rhs,
-                       run_ensemble, sample_dtwa_initial,
+                       individual_dtwa_model, individual_params,
+                       meanfield_individual_rhs, run_ensemble,
                        solve_meanfield_individual, validate_params)
 from cavity_sr.params import SystemParams
 
@@ -17,48 +17,89 @@ def iparams(**kw):
     return SystemParams(**defaults)
 
 
-def spin_state(sx, sy, sz, eta=0j):
-    return SpinLatticeState(np.array([[sx, sy, sz]], dtype=float), eta)
+def model_for(params, n_atoms):
+    return individual_dtwa_model(dataclasses.replace(params, n_atoms=n_atoms),
+                                 NumericalParams())
+
+
+def row(spins, eta=0j):
+    """(1, 3N + 2) state block for (N, 3) spin vectors and the cavity eta."""
+    spins = np.asarray(spins, dtype=float)
+    return np.concatenate([spins.T.ravel(), [eta.real, eta.imag]])[None, :]
+
+
+def unrow(y, n_atoms):
+    """Inverse of row(): ((N, 3) spin block, eta) of a one-row block."""
+    return y[0, :3 * n_atoms].reshape(3, n_atoms).T, complex(y[0, -2], y[0, -1])
+
+
+def drift_at(params, spins, eta=0j):
+    """(d_spins (N, 3), d_eta) of the model drift at one lattice state."""
+    n = len(spins)
+    out = np.empty((1, 3 * n + 2))
+    model_for(params, n).drift(row(spins, complex(eta)), out)
+    return unrow(out, n)
+
+
+def noise_at(params, spins, dW, eta=0j):
+    """Model noise increments for N per-atom plus 2 cavity Wiener values."""
+    n = len(spins)
+    out = np.empty((1, 3 * n + 2))
+    model_for(params, n).noise(row(spins, complex(eta)),
+                               np.asarray(dW, dtype=float).reshape(1, n + 2), out)
+    return unrow(out, n)
+
+
+def observables_of(states):
+    """Ensemble means (<S_z>, <c^dag c>) over (spins, eta) lattice states."""
+    n = len(states[0][0])
+    y = np.concatenate([row(spins, complex(eta)) for spins, eta in states])
+    obs = model_for(iparams(), n).observables(y)
+    return float(np.mean(obs["sz"])), float(np.mean(obs["photon"]))
+
+
+def spin_state(sx, sy, sz):
+    return [[sx, sy, sz]]
 
 
 class TestDrift:
     def test_larmor_precession(self):
-        d = dtwa_drift(spin_state(1, 0, 0), iparams(omega_a=1.0))
-        np.testing.assert_allclose(d.d_spins[0], [0.0, 1.0, 0.0], atol=1e-14)
+        d_spins, _ = drift_at(iparams(omega_a=1.0), spin_state(1, 0, 0))
+        np.testing.assert_allclose(d_spins[0], [0.0, 1.0, 0.0], atol=1e-14)
 
     def test_decay_rate_at_full_excitation(self):
         gam = 0.7
-        d = dtwa_drift(spin_state(0, 0, 1), iparams(gamma_ind=gam, omega_a=2.0))
-        assert d.d_spins[0, 2] == pytest.approx(-4 * gam)
+        d_spins, _ = drift_at(iparams(gamma_ind=gam, omega_a=2.0), spin_state(0, 0, 1))
+        assert d_spins[0, 2] == pytest.approx(-4 * gam)
 
     def test_cavity_coupling_heisenberg_signs(self):
         # g=1, eta=i/2, spin (0,0,1): ds = (-2 g s_z Im eta, 0, 0) = (-1, 0, 0),
         # the sign that matches the mean-field equations under
         # sigma_+- = (s_x +- i s_y)/2 and the exact oracle (see test below)
-        d = dtwa_drift(spin_state(0, 0, 1, eta=0.5j), iparams(g=1.0))
-        np.testing.assert_allclose(d.d_spins[0], [-1.0, 0.0, 0.0], atol=1e-14)
-        assert d.d_eta == 0
+        d_spins, d_eta = drift_at(iparams(g=1.0), spin_state(0, 0, 1), eta=0.5j)
+        np.testing.assert_allclose(d_spins[0], [-1.0, 0.0, 0.0], atol=1e-14)
+        assert d_eta == 0
 
     def test_generic_point_frozen_cas_values(self):
         p = iparams(omega_a=2.0, g=1.5, gamma_ind=2 / 3)
-        d = dtwa_drift(spin_state(0.5, -1 / 3, 0.8, eta=0.25 - 0.5j), p)
+        d_spins, _ = drift_at(p, spin_state(0.5, -1 / 3, 0.8), eta=0.25 - 0.5j)
         np.testing.assert_allclose(
-            d.d_spins[0],
+            d_spins[0],
             [1.5333333333333334, 0.6222222222222222, -3.4], rtol=1e-12)
 
     def test_cavity_drive_sums_over_atoms(self):
         spins = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         p = iparams(g=2.0)
-        d = dtwa_drift(SpinLatticeState(spins, 0j), p)
+        _, d_eta = drift_at(p, spins)
         # d_eta = -(i g / 2) sum(s_x - i s_y) = -(i) (2 - 2i) = -2 - 2i
-        assert d.d_eta == pytest.approx(-2.0 - 2.0j)
+        assert d_eta == pytest.approx(-2.0 - 2.0j)
 
     def test_spin_derivatives_are_real(self):
         rng = np.random.default_rng(1)
         p = iparams(omega_a=1.0, g=2.0, gamma_ind=0.5, kappa=3.0, omega_c=2.0)
         spins = rng.standard_normal((5, 3))
-        d = dtwa_drift(SpinLatticeState(spins, 0.3 - 0.8j), p)
-        assert d.d_spins.dtype == np.float64
+        d_spins, _ = drift_at(p, spins, eta=0.3 - 0.8j)
+        assert d_spins.dtype == np.float64
 
     def test_drift_conserves_excitation_without_dissipation(self):
         # d(sum s_z / 2 + |eta|^2)/dt = 0 when gamma = kappa = 0
@@ -66,90 +107,86 @@ class TestDrift:
         p = iparams(n_atoms=4, g=1.7)
         spins = rng.standard_normal((4, 3))
         eta = complex(*rng.standard_normal(2))
-        d = dtwa_drift(SpinLatticeState(spins, eta), p)
-        d_exc = d.d_spins[:, 2].sum() / 2 + 2 * np.real(np.conj(eta) * d.d_eta)
+        d_spins, d_eta = drift_at(p, spins, eta)
+        d_exc = d_spins[:, 2].sum() / 2 + 2 * np.real(np.conj(eta) * d_eta)
         assert d_exc == pytest.approx(0.0, abs=1e-12)
 
 
 class TestNoise:
     def test_no_decay_no_spin_noise(self):
-        d = dtwa_noise(spin_state(1, 1, 1), iparams(), np.ones(3))
-        np.testing.assert_array_equal(d.d_spins, 0)
+        d_spins, _ = noise_at(iparams(), spin_state(1, 1, 1), np.ones(3))
+        np.testing.assert_array_equal(d_spins, 0)
 
     def test_ground_state_is_noise_free_in_z(self):
-        d = dtwa_noise(spin_state(0, 0, -1), iparams(gamma_ind=1.0), np.ones(3))
-        assert d.d_spins[0, 2] == 0
+        d_spins, _ = noise_at(iparams(gamma_ind=1.0), spin_state(0, 0, -1), np.ones(3))
+        assert d_spins[0, 2] == 0
 
     def test_substitution_example(self):
         # spin (1,0,1), gamma=1/2, dW=1: (0, 1, 2)
-        d = dtwa_noise(spin_state(1, 0, 1), iparams(gamma_ind=0.5), np.ones(3))
-        np.testing.assert_allclose(d.d_spins[0], [0.0, 1.0, 2.0], atol=1e-14)
+        d_spins, _ = noise_at(iparams(gamma_ind=0.5), spin_state(1, 0, 1), np.ones(3))
+        np.testing.assert_allclose(d_spins[0], [0.0, 1.0, 2.0], atol=1e-14)
 
     def test_shared_increment_per_atom(self):
         # both spin components of one atom see the same dW_i
         p = iparams(n_atoms=2, gamma_ind=0.5)
         spins = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        d = dtwa_noise(SpinLatticeState(spins, 0j), p, np.array([1.0, -1.0, 0, 0]))
-        assert d.d_spins[0, 1] == -d.d_spins[1, 1]
-
-    def test_wrong_block_size_rejected(self):
-        with pytest.raises(ValueError, match="3"):
-            dtwa_noise(spin_state(0, 0, 1), iparams(), np.ones(7))
+        d_spins, _ = noise_at(p, spins, np.array([1.0, -1.0, 0, 0]))
+        assert d_spins[0, 1] == -d_spins[1, 1]
 
 
 class TestSampling:
+    @staticmethod
+    def sample_spins(n_atoms, seed):
+        """(N, 3) spins of one sampled initial lattice."""
+        y = model_for(iparams(), n_atoms).sample_initial(1, np.random.default_rng(seed))
+        return unrow(y, n_atoms)[0]
+
     def test_discrete_support(self):
-        rng = np.random.default_rng(0)
-        state = sample_dtwa_initial(1000, rng)
-        assert np.all(state.spins[:, 0] ** 2 == 1.0)
-        assert np.all(state.spins[:, 1] ** 2 == 1.0)
-        assert np.all(state.spins[:, 2] == 1.0)
+        spins = self.sample_spins(1000, 0)
+        assert np.all(spins[:, 0] ** 2 == 1.0)
+        assert np.all(spins[:, 1] ** 2 == 1.0)
+        assert np.all(spins[:, 2] == 1.0)
 
     def test_transverse_means_vanish(self):
-        rng = np.random.default_rng(1)
-        state = sample_dtwa_initial(1_000_000, rng)
+        spins = self.sample_spins(1_000_000, 1)
         sem = 1.0 / 1000
-        assert abs(state.spins[:, 0].mean()) < 3 * sem
-        assert abs(state.spins[:, 1].mean()) < 3 * sem
-        assert state.spins[:, 2].mean() == 1.0
+        assert abs(spins[:, 0].mean()) < 3 * sem
+        assert abs(spins[:, 1].mean()) < 3 * sem
+        assert spins[:, 2].mean() == 1.0
 
     def test_four_states_equally_likely(self):
-        rng = np.random.default_rng(2)
-        state = sample_dtwa_initial(1_000_000, rng)
+        spins = self.sample_spins(1_000_000, 2)
         for sx in (-1, 1):
             for sy in (-1, 1):
-                freq = np.mean((state.spins[:, 0] == sx) & (state.spins[:, 1] == sy))
+                freq = np.mean((spins[:, 0] == sx) & (spins[:, 1] == sy))
                 assert freq == pytest.approx(0.25, abs=0.002)
 
     def test_cavity_vacuum_sampling(self):
         rng = np.random.default_rng(3)
-        etas = np.array([sample_dtwa_initial(1, rng).eta for _ in range(20000)])
+        y = model_for(iparams(), 1).sample_initial(20000, rng)
+        etas = y[:, -2] + 1j * y[:, -1]
         assert np.mean(np.abs(etas) ** 2) == pytest.approx(0.5, rel=0.05)
 
 
 class TestObservables:
     def test_extremes_and_mixtures(self):
-        up = SpinLatticeState(np.tile([0.0, 0.0, 1.0], (6, 1)), 0j)
-        down = SpinLatticeState(np.tile([0.0, 0.0, -1.0], (6, 1)), 0j)
-        assert dtwa_observables([up])[0] == pytest.approx(3.0)
-        assert dtwa_observables([down])[0] == pytest.approx(-3.0)
-        assert dtwa_observables([up, down])[0] == pytest.approx(0.0)
+        up = (np.tile([0.0, 0.0, 1.0], (6, 1)), 0j)
+        down = (np.tile([0.0, 0.0, -1.0], (6, 1)), 0j)
+        assert observables_of([up])[0] == pytest.approx(3.0)
+        assert observables_of([down])[0] == pytest.approx(-3.0)
+        assert observables_of([up, down])[0] == pytest.approx(0.0)
 
     def test_photon_symmetric_ordering_correction(self):
-        state = SpinLatticeState(np.zeros((1, 3)), 2.0 + 0j)
-        assert dtwa_observables([state])[1] == pytest.approx(3.5)
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            dtwa_observables([])
+        state = (np.zeros((1, 3)), 2.0 + 0j)
+        assert observables_of([state])[1] == pytest.approx(3.5)
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(5)
         spins = rng.standard_normal((8, 3))
         eta = 0.2 + 0.1j
         perm = rng.permutation(8)
-        a = dtwa_observables([SpinLatticeState(spins, eta)])
-        b = dtwa_observables([SpinLatticeState(spins[perm], eta)])
+        a = observables_of([(spins, eta)])
+        b = observables_of([(spins[perm], eta)])
         assert a == pytest.approx(b)
 
 
@@ -189,8 +226,8 @@ class TestSpinLengthConservation:
         rng = np.random.default_rng(4)
         p = iparams(n_atoms=6, g=1.3, omega_a=0.7)
         spins = rng.standard_normal((6, 3))
-        d = dtwa_drift(SpinLatticeState(spins, 0.4 - 0.2j), p)
-        dots = np.einsum("ij,ij->i", spins, d.d_spins)
+        d_spins, _ = drift_at(p, spins, eta=0.4 - 0.2j)
+        dots = np.einsum("ij,ij->i", spins, d_spins)
         np.testing.assert_allclose(dots, 0.0, atol=1e-12)
 
     def test_integrated_growth_is_first_order_in_dt(self):
@@ -202,8 +239,10 @@ class TestSpinLengthConservation:
         errs = []
         for dt in (2e-3, 1e-3, 5e-4):
             y = y0.copy()
+            d = np.empty_like(y)
             for _ in range(int(0.5 / dt)):
-                y = y + model.drift(y) * dt
+                model.drift(y, d)
+                y = y + d * dt
             lengths = y[:, :4] ** 2 + y[:, 4:8] ** 2 + y[:, 8:12] ** 2
             errs.append(np.max(np.abs(lengths - 3.0)))
         slopes = np.diff(np.log(errs)) / np.diff(np.log([2e-3, 1e-3, 5e-4]))
