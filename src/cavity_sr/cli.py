@@ -85,9 +85,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_n_list(text: str) -> list[int]:
+    n_list, errors = [], []
+    for entry in text.split(","):
+        try:
+            n_list.append(int(entry))
+        except ValueError:
+            errors.append(f"--n-list entry {entry!r} in {text!r} is not an integer")
+    if errors:
+        raise ConfigurationError(errors)
+    return n_list
+
+
 def _cmd_sweep(args) -> int:
     solver = resolve_solver(args.scheme, args.solver)
-    n_list = [int(v) for v in args.n_list.split(",")]
+    n_list = _parse_n_list(args.n_list)
     # keep dt / t_max unresolved so the sweep adapts them per N
     params, num = _raw_config(args, n_list[0])
     validate_params(params, num)

@@ -1,16 +1,24 @@
-"""Brute-force Lindblad master-equation integrator for small systems.
+"""Exact Lindblad master-equation integrator for small systems.
 
 Ground truth for validating the stochastic and mean-field solvers.  Two bases:
 
 * collective - the dissipator uses only collective operators, so total spin
   J = N/2 is conserved and the Dicke ladder |J, m> x Fock(cutoff) suffices,
-  dimension (N+1)(cutoff+1); reaches N ~ 10.
-* individual - full product basis 2^N x Fock(cutoff); N <= ~6, dense.
+  dimension (N+1)(cutoff+1); N <= 30.
+* individual - full product basis 2^N x Fock(cutoff); N <= 6.
 
-The default photon cutoff is N + 1: the Hamiltonian conserves excitation
-number and dissipation only removes it, so the photon number never exceeds N
-(the extra level absorbs integrator transients and is monitored for
-saturation).
+The master equation is one sparse superoperator on row-major vec(rho).  The
+Hamiltonian conserves the excitation number n_exc (excited atoms + photons)
+and every jump lowers it by one on both sides of rho, so the entries (i, j)
+whose n_exc(i) - n_exc(j) occurs in rho0 and whose n_exc values do not exceed
+the largest one in rho0 form a set the superoperator maps into itself, in the
+truncated Fock basis too.  Only those entries are propagated, and S_z and
+c^dag c, diagonal in both bases, are read from the populations alone.
+
+The default photon cutoff is N + 1, above the N photons that a state with at
+most N excitations can hold.  A state with more excitations (e.g. a coherent
+cavity state) can reach the top Fock level, whose population is monitored
+for saturation.
 """
 
 from __future__ import annotations
@@ -19,14 +27,14 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .params import NumericalParams, SystemParams
 from .series import ObservableSeries
 
-MAX_COLLECTIVE_ATOMS = 12
+MAX_COLLECTIVE_ATOMS = 30
 MAX_INDIVIDUAL_ATOMS = 6
-_DENSE_SUPEROP_DIM = 48        # to_matrix() guard: (d^2)^2 complex entries
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -56,6 +64,21 @@ class BasisDescriptor:
     def dim(self) -> int:
         return self.atom_dim * self.cavity_dim
 
+    @property
+    def photons(self) -> np.ndarray:
+        """Photon number of each basis state (atom-major ordering)."""
+        return np.tile(np.arange(self.cavity_dim), self.atom_dim)
+
+    @property
+    def excited_atoms(self) -> np.ndarray:
+        """Number of excited atoms in each basis state; atomic index 0 is
+        the fully excited state in both bases."""
+        if self.kind == "collective":
+            ground = np.arange(self.atom_dim)
+        else:                   # per-atom bit 1 is |g>
+            ground = np.array([bin(k).count("1") for k in range(self.atom_dim)])
+        return np.repeat(self.n_atoms - ground, self.cavity_dim)
+
 
 @dataclass
 class DensityMatrix:
@@ -69,44 +92,31 @@ class DensityMatrix:
 
 
 class Liouvillian:
-    """Right-hand side of the master equation acting on density matrices.
+    """The master equation d vec(rho)/dt = superop @ vec(rho) on row-major
+    vectorized density matrices.
 
-    apply(rho) evaluates -i[H, rho] + sum_k rate_k D[L_k] rho with
+    superop is the CSR matrix of -i[H, rho] + sum_k rate_k D[L_k] rho with
     D[L] rho = L rho L^dag - (1/2){L^dag L, rho}; rates are the full Lindblad
-    prefactors (2*kappa, 2*Gamma, 2*gamma).  to_matrix() materializes the
-    superoperator on row-major vectorized density matrices for small
-    dimensions.
+    prefactors (2*kappa, 2*Gamma, 2*gamma).
     """
 
     def __init__(self, hamiltonian: np.ndarray,
                  collapse: List[Tuple[float, np.ndarray]],
                  basis: BasisDescriptor):
         self.hamiltonian = hamiltonian
-        self.collapse = [(rate, op, op.conj().T @ op) for rate, op in collapse]
         self.basis = basis
         self.dim = hamiltonian.shape[0]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        h = self.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
-        for rate, op, opdag_op in self.collapse:
-            out += rate * (op @ rho @ op.conj().T
-                           - 0.5 * (opdag_op @ rho + rho @ opdag_op))
-        return out
-
-    def to_matrix(self) -> np.ndarray:
-        if self.dim > _DENSE_SUPEROP_DIM:
-            raise ValueError(
-                f"dense superoperator would be {self.dim ** 2}x{self.dim ** 2}; "
-                f"dimension {self.dim} exceeds guard {_DENSE_SUPEROP_DIM}")
-        eye = np.eye(self.dim, dtype=complex)
-        h = self.hamiltonian
+        # -i[H, rho] - (1/2){G, rho} = A rho + rho A^dag with
+        # A = -i H - (1/2) G, G = sum_k rate_k L_k^dag L_k
+        ops = [(rate, sparse.csr_array(op)) for rate, op in collapse]
+        a = -1j * sparse.csr_array(hamiltonian)
+        for rate, op in ops:
+            a = a - 0.5 * rate * (op.conj().T @ op)
+        eye = sparse.identity(self.dim, dtype=complex, format="csr")
         # row-major vec: vec(A rho B) = kron(A, B.T) vec(rho)
-        mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for rate, op, opdag_op in self.collapse:
-            mat += rate * (np.kron(op, op.conj())
-                           - 0.5 * (np.kron(opdag_op, eye) + np.kron(eye, opdag_op.T)))
-        return mat
+        jumps = sum(rate * sparse.kron(op, op.conj(), format="csr") for rate, op in ops)
+        self.superop = sparse.csr_array(sparse.kron(a, eye, format="csr")
+                                        + sparse.kron(eye, a.conj(), format="csr") + jumps)
 
 
 def _fock_annihilator(cutoff: int) -> np.ndarray:
@@ -227,57 +237,60 @@ def coherent_cavity_state(basis: BasisDescriptor, amplitude: complex,
     return DensityMatrix(np.outer(psi, psi.conj()), basis)
 
 
-def _observable_ops(liouv: Liouvillian):
-    if liouv.basis.kind == "collective":
-        sz, _, c = collective_operators(liouv.basis)
-    else:
-        sz, _, c = individual_operators(liouv.basis)
-    return sz, c.conj().T @ c
-
-
-def _top_level_population(rho: np.ndarray, basis: BasisDescriptor) -> float:
-    block = rho.reshape(basis.atom_dim, basis.cavity_dim,
-                        basis.atom_dim, basis.cavity_dim)
-    top = basis.cavity_dim - 1
-    return float(np.real(np.einsum("ii->i", block[:, top, :, top]).sum()))
+def invariant_entries(basis: BasisDescriptor, rho0: np.ndarray) -> np.ndarray:
+    """Row-major vec(rho) positions of the entries (i, j) with
+    n_exc(i) - n_exc(j) among the differences in the support of rho0 and
+    both n_exc at most its largest n_exc; the dynamics never leaves them."""
+    n_exc = basis.excited_atoms + basis.photons
+    rows, cols = np.nonzero(rho0)
+    top = max(n_exc[rows].max(), n_exc[cols].max())
+    low = n_exc <= top
+    keep = (low[:, None] & low[None, :]
+            & np.isin(n_exc[:, None] - n_exc[None, :], n_exc[rows] - n_exc[cols]))
+    return np.flatnonzero(keep)
 
 
 def evolve_density_matrix(liouv: Liouvillian, rho0: DensityMatrix,
                           t_grid: np.ndarray) -> ObservableSeries:
     """<S_z>(t) and <c^dag c>(t) by deterministic integration of the
-    vectorized master equation (rtol 1e-10); raises if the trace drifts
-    beyond 1e-10 or the top Fock level saturates above 1e-6."""
+    master equation on the entries of rho that rho0 can reach (rtol 1e-10);
+    raises if the trace drifts beyond 1e-10 or the top Fock level saturates
+    above 1e-6."""
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
-    d = liouv.dim
+    basis = liouv.basis
+    kept = invariant_entries(basis, rho0.data)
+    restricted = liouv.superop[kept][:, kept]
 
     def rhs(t, y):
-        return liouv.apply(y.reshape(d, d)).ravel()
+        return restricted @ y
 
-    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), rho0.data.ravel().astype(complex),
+    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), rho0.data.ravel()[kept].astype(complex),
                     t_eval=t_grid, method="DOP853", rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise RuntimeError(f"master-equation integration failed: {sol.message}")
-    rhos = sol.y.T.reshape(-1, d, d)
+    # rho_ii sits at vec position i * (d + 1)
+    on_diagonal = kept % (liouv.dim + 1) == 0
+    states = kept[on_diagonal] // (liouv.dim + 1)
+    populations = sol.y[on_diagonal].real
 
-    traces = np.einsum("kii->k", rhos).real
-    drift = float(np.max(np.abs(traces - 1.0)))
+    drift = float(np.max(np.abs(populations.sum(axis=0) - 1.0)))
     if drift > TRACE_TOL:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_TOL}")
-    top = max(_top_level_population(r, liouv.basis) for r in rhos)
+    photons = basis.photons[states]
+    top = float(populations[photons == basis.photon_cutoff].sum(axis=0).max())
     if top > SATURATION_TOL:
         raise CutoffSaturationError(
             f"top Fock level population {top:.2e} > {SATURATION_TOL}; "
-            f"increase the photon cutoff beyond {liouv.basis.photon_cutoff}")
+            f"increase the photon cutoff beyond {basis.photon_cutoff}")
 
-    sz_op, n_op = _observable_ops(liouv)
-    sz = np.einsum("kij,ji->k", rhos, sz_op).real
-    photon = np.einsum("kij,ji->k", rhos, n_op).real
+    sz = (basis.excited_atoms[states] - 0.5 * basis.n_atoms) @ populations
+    photon = photons @ populations
     zeros = np.zeros_like(sz)
     return ObservableSeries(times=t_grid, sz_mean=sz, sz_sem=zeros,
                             photon_mean=photon, photon_sem=zeros,
-                            n_atoms=liouv.basis.n_atoms)
+                            n_atoms=basis.n_atoms)
 
 
 def solve_oracle(params: SystemParams, num: NumericalParams) -> ObservableSeries:

@@ -12,7 +12,6 @@ from .individual import individual_dtwa_model, solve_meanfield_individual
 from .oracle import solve_oracle
 from .params import (NumericalParams, SystemParams, SCHEME_COLLECTIVE,
                      SCHEME_INDIVIDUAL)
-from .series import ObservableSeries
 
 SOLVER_ALIASES = {
     "stochastic": "stochastic",

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,13 +164,16 @@ class TestSweepAndCheck:
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["outputs"]) == ["timeseries.csv"]
 
-    @pytest.mark.parametrize("extra", [
-        ["--n-list", "50,50,100"],
-        ["--n-list", "50,100,0"],
-        ["--n-list", "50,100,200", "--trajectories", "0"],
-    ], ids=["duplicate-n", "zero-n", "zero-trajectories"])
+    @pytest.mark.parametrize("extra, message", [
+        (["--n-list", "50,50,100"], "distinct"),
+        (["--n-list", "50,100,0"], ">= 1"),
+        (["--n-list", "50,100,200", "--trajectories", "0"], "n_traj"),
+        (["--n-list", "50,abc,200"], "--n-list entry 'abc'"),
+        (["--n-list", "50,,200"], "--n-list entry ''"),
+    ], ids=["duplicate-n", "zero-n", "zero-trajectories", "non-integer-n",
+            "empty-n"])
     def test_bad_sweep_input_fails_before_any_solve(self, tmp_path, monkeypatch,
-                                                    extra):
+                                                    capsys, extra, message):
         from cavity_sr import runners
         calls = []
         monkeypatch.setattr(runners, "simulate_timeseries",
@@ -180,6 +182,7 @@ class TestSweepAndCheck:
                        "meanfield", *extra, "--out", str(tmp_path))
         assert code == 1
         assert calls == []
+        assert message in capsys.readouterr().err
 
     def test_check_passes_for_equivalent_reports(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

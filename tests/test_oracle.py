@@ -1,19 +1,33 @@
 import numpy as np
 import pytest
 
-from cavity_sr import (NumericalParams, build_liouvillian,
-                       build_liouvillian_collective,
+from cavity_sr import (NumericalParams, build_liouvillian_collective,
                        build_liouvillian_individual, collective_params,
                        evolve_density_matrix, fully_excited_vacuum,
                        individual_params, solve_oracle, validate_params)
 from cavity_sr.oracle import (CutoffSaturationError, coherent_cavity_state,
-                              collective_operators, individual_operators)
+                              collective_operators, individual_operators,
+                              invariant_entries)
 
 
 def random_hermitian(dim, rng):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = m + m.conj().T
     return h / np.linalg.norm(h)
+
+
+def lindblad_rhs(hamiltonian, collapse, rho):
+    """-i[H, rho] + sum_k rate_k (L rho L^dag - (1/2){L^dag L, rho})."""
+    out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
+    for rate, op in collapse:
+        opdag_op = op.conj().T @ op
+        out += rate * (op @ rho @ op.conj().T
+                       - 0.5 * (opdag_op @ rho + rho @ opdag_op))
+    return out
+
+
+def apply_superop(liouv, rho):
+    return (liouv.superop @ rho.ravel()).reshape(liouv.dim, liouv.dim)
 
 
 class TestBuilders:
@@ -23,7 +37,7 @@ class TestBuilders:
         rng = np.random.default_rng(0)
         for _ in range(100):
             rho = random_hermitian(liouv.dim, rng)
-            assert abs(np.trace(liouv.apply(rho))) < 1e-12
+            assert abs(np.trace(apply_superop(liouv, rho))) < 1e-12
 
     def test_trace_annihilation_individual(self):
         liouv = build_liouvillian_individual(
@@ -31,26 +45,29 @@ class TestBuilders:
         rng = np.random.default_rng(1)
         for _ in range(100):
             rho = random_hermitian(liouv.dim, rng)
-            assert abs(np.trace(liouv.apply(rho))) < 1e-12
+            assert abs(np.trace(apply_superop(liouv, rho))) < 1e-12
 
-    def test_dense_superoperator_matches_apply(self):
-        liouv = build_liouvillian_collective(
-            collective_params(2, g=1.0, kappa=0.7), cutoff=3)
-        mat = liouv.to_matrix()
+    def test_superoperator_matches_lindblad_formula(self):
         rng = np.random.default_rng(2)
-        rho = random_hermitian(liouv.dim, rng)
-        direct = liouv.apply(rho)
-        via_matrix = (mat @ rho.ravel()).reshape(liouv.dim, liouv.dim)
-        np.testing.assert_allclose(via_matrix, direct, atol=1e-12)
+        coll = build_liouvillian_collective(
+            collective_params(2, g=1.0, kappa=0.7, gamma=0.3, detuning=0.4), cutoff=3)
+        _, sm, c = collective_operators(coll.basis)
+        ind = build_liouvillian_individual(
+            individual_params(2, g=1.0, kappa=0.7, gamma=0.3, detuning=0.4), cutoff=3)
+        _, sigma_minus, c_ind = individual_operators(ind.basis)
+        cases = [(coll, [(1.4, c), (0.6, sm)]),
+                 (ind, [(1.4, c_ind)] + [(0.6, s) for s in sigma_minus])]
+        for liouv, collapse in cases:
+            rho = random_hermitian(liouv.dim, rng)
+            np.testing.assert_allclose(
+                apply_superop(liouv, rho),
+                lindblad_rhs(liouv.hamiltonian, collapse, rho), atol=1e-12)
 
     def test_dimension_guards(self):
         with pytest.raises(ValueError, match="limited"):
             build_liouvillian_collective(collective_params(40))
         with pytest.raises(ValueError, match="limited"):
             build_liouvillian_individual(individual_params(9))
-        big = build_liouvillian_individual(individual_params(4))
-        with pytest.raises(ValueError, match="guard"):
-            big.to_matrix()
 
     def test_cutoff_below_excitation_number_rejected(self):
         with pytest.raises(ValueError, match="cutoff"):
@@ -103,7 +120,7 @@ class TestInvariants:
     def evolve_rhos(self, liouv, rho0, t):
         from scipy.integrate import solve_ivp
         d = liouv.dim
-        sol = solve_ivp(lambda _, y: liouv.apply(y.reshape(d, d)).ravel(),
+        sol = solve_ivp(lambda _, y: liouv.superop @ y,
                         (t[0], t[-1]), rho0.ravel().astype(complex), t_eval=t,
                         method="DOP853", rtol=1e-10, atol=1e-12)
         return sol.y.T.reshape(-1, d, d)
@@ -145,8 +162,8 @@ class TestInvariants:
         b = evolve_density_matrix(ind, fully_excited_vacuum(ind.basis), t)
         np.testing.assert_allclose(a.sz_mean, b.sz_mean, atol=1e-9)
         np.testing.assert_allclose(a.photon_mean, b.photon_mean, atol=1e-9)
-        sa = sorted(np.linalg.eigvals(coll.to_matrix()), key=lambda z: (z.real, z.imag))
-        sb = sorted(np.linalg.eigvals(ind.to_matrix()), key=lambda z: (z.real, z.imag))
+        sa = sorted(np.linalg.eigvals(coll.superop.toarray()), key=lambda z: (z.real, z.imag))
+        sb = sorted(np.linalg.eigvals(ind.superop.toarray()), key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(sa, sb, atol=1e-9)
 
     def test_two_atom_symmetric_sector_hamiltonian_equivalence(self):
@@ -165,6 +182,57 @@ class TestInvariants:
             proj[i * nc:(i + 1) * nc, :] = np.kron(s, np.eye(nc))
         restricted = proj @ ind.hamiltonian @ proj.T
         np.testing.assert_allclose(restricted, coll.hamiltonian, atol=1e-12)
+
+
+class TestInvariantEntries:
+    """The full superoperator moves no weight out of the entries that
+    evolve_density_matrix keeps, so propagating only those is exact."""
+
+    @pytest.mark.parametrize("case", ["collective", "individual", "coherent"])
+    def test_superoperator_leaks_nothing_out_of_kept_entries(self, case):
+        if case == "collective":
+            liouv = build_liouvillian_collective(collective_params(8, g=10.0, kappa=100.0))
+            rho0 = fully_excited_vacuum(liouv.basis)
+        elif case == "individual":
+            liouv = build_liouvillian_individual(individual_params(3, g=10.0, kappa=100.0))
+            rho0 = fully_excited_vacuum(liouv.basis)
+        else:
+            liouv = build_liouvillian_individual(individual_params(2, g=1.0, kappa=0.5),
+                                                 cutoff=4)
+            rho0 = coherent_cavity_state(liouv.basis, 1.5)
+        kept = invariant_entries(liouv.basis, rho0.data)
+        outside = np.setdiff1d(np.arange(liouv.dim ** 2), kept)
+        assert 0 < kept.size < liouv.dim ** 2
+        assert np.count_nonzero(rho0.data.ravel()[outside]) == 0
+        leak = liouv.superop[outside][:, kept]
+        assert np.count_nonzero(leak.toarray()) == 0
+
+    def test_collective_kept_entries_are_the_excitation_blocks(self):
+        # fully excited N = 8: sum over n_exc = 0..8 of (n_exc + 1)^2 states
+        liouv = build_liouvillian_collective(collective_params(8))
+        kept = invariant_entries(liouv.basis, fully_excited_vacuum(liouv.basis).data)
+        assert kept.size == 285
+
+    def test_basis_excitations_match_operator_diagonals(self):
+        for liouv, ops in [
+                (build_liouvillian_collective(collective_params(3)), collective_operators),
+                (build_liouvillian_individual(individual_params(3)), individual_operators)]:
+            sz, _, c = ops(liouv.basis)
+            basis = liouv.basis
+            np.testing.assert_array_equal(np.diag(sz).real,
+                                          basis.excited_atoms - 0.5 * basis.n_atoms)
+            np.testing.assert_allclose(np.diag(c.conj().T @ c).real, basis.photons,
+                                       atol=1e-12)
+
+    def test_collective_sixteen_atoms_conserve_trace(self):
+        # evolve_density_matrix raises if the trace drifts beyond TRACE_TOL
+        params, num = validate_params(collective_params(16, g=10.0, kappa=100.0),
+                                      NumericalParams())
+        series = solve_oracle(params, num)
+        assert series.sz_mean[0] == 8.0
+        excitations = series.sz_mean + 8.0 + series.photon_mean
+        assert np.all(np.diff(excitations) < 1e-9)
+        assert excitations[-1] < 1.0
 
 
 class TestEvolveErrors:
