@@ -7,10 +7,9 @@ for the emission strength versus atom number.
 
 __version__ = "0.1.0"
 
-from .params import (ALPHA_SQRT_N, ALPHA_SQRT_N_PLUS_HALF, ConfigurationError,
-                     NumericalParams, SystemParams, collective_params,
-                     default_horizon, default_time_step, individual_params,
-                     validate_params)
+from .params import (ConfigurationError, NumericalParams, SystemParams,
+                     collective_params, default_horizon, default_time_step,
+                     individual_params, validate_params)
 from .series import ObservableSeries, time_grid
 from .wiener import CHUNK_SIZE
 from .engine import EnsembleDivergenceError, EnsembleModel, run_ensemble

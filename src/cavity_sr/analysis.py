@@ -113,19 +113,21 @@ def emission_uncertainty(series: ObservableSeries, measurement: EmissionMeasurem
 
 
 def power_law_fit(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
-    """Ordinary least squares of log I on log N; slope = zeta."""
+    """Ordinary least squares of log I on log N; slope = zeta.  Every N and I
+    must be finite and positive."""
     if len(points) < 3:
         raise ValueError(f"need at least 3 points, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)
     intensities = np.array([p[1] for p in points], dtype=float)
     if len(set(ns.tolist())) != len(ns):
         raise ValueError("atom numbers must be distinct")
-    if np.any(ns <= 0):
-        raise ValueError("atom numbers must be positive")
-    bad = ns[intensities <= 0]
-    if bad.size:
-        raise ValueError(f"nonpositive emission strength at N = "
-                         f"{', '.join(str(int(b)) for b in bad)}")
+    if not np.all(np.isfinite(ns) & (ns > 0)):
+        raise ValueError(f"atom numbers must be positive and finite, got {ns.tolist()}")
+    for label, bad in (("non-finite", ~np.isfinite(intensities)),
+                       ("nonpositive", intensities <= 0)):
+        if bad.any():
+            raise ValueError(f"{label} emission strength at N = "
+                             f"{', '.join(str(int(n)) for n in ns[bad])}")
     x = np.log(ns)
     y = np.log(intensities)
     xbar, ybar = x.mean(), y.mean()
@@ -190,8 +192,7 @@ def scaling_sweep(scheme: str, solver: str, n_list: Sequence[int],
         "g": params.g,
         "kappa": params.kappa,
         "gamma": params.gamma,
-        "detuning": params.omega_c - params.omega_a,
-        "alpha_sampling": num.alpha_sampling,
+        "detuning": params.detuning,
     }
     return ScalingReport(points=points, zeta=fit.zeta, intercept=fit.intercept,
                          r_squared=fit.r_squared, zeta_stderr=fit.zeta_stderr,

@@ -32,7 +32,7 @@ def _add_physics_flags(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=1.0,
                    help="atomic decay half-rate (the time unit; default 1)")
     p.add_argument("--detuning", type=float, default=0.0,
-                   help="omega_c - omega_a in the rotating frame (default resonance)")
+                   help="cavity detuning from the atomic frequency (default resonance)")
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--trajectories", type=int, default=2000)
@@ -57,14 +57,12 @@ def _config_echo(args, params, num) -> dict:
         "g": params.g,
         "kappa": params.kappa,
         "gamma": params.gamma,
-        "detuning": params.omega_c - params.omega_a,
-        "frame": params.frame,
+        "detuning": params.detuning,
         "dt": num.dt,
         "t_max": num.t_max,
         "n_traj": num.n_traj,
         "seed": num.seed,
         "smoothing_window": num.smoothing_window,
-        "alpha_sampling": num.alpha_sampling,
     }
 
 

@@ -4,13 +4,14 @@ observables, and the companion mean-field equations.
 
 The collective spin is mapped onto two bosonic modes, S+ = a^dag b,
 S- = a b^dag, S_z = (a^dag a - b^dag b)/2, with phase-space amplitudes
-(alpha, beta) plus the cavity amplitude eta.  The Ito equations are
+(alpha, beta) plus the cavity amplitude eta.  In the frame rotating at the
+atomic frequency, with Delta the cavity detuning, the Ito equations are
 
-  d alpha = [-i(omega_a/4) alpha - i g beta eta - Gamma(|beta|^2 + 1/2) alpha] dt
+  d alpha = [-i g beta eta - Gamma(|beta|^2 + 1/2) alpha] dt
             + sqrt(Gamma(|beta|^2 + 1/2)/2) (dW1 + i dW2)
-  d beta  = [+i(omega_a/4) beta - i g alpha eta* + Gamma(|alpha|^2 - 1/2) beta] dt
+  d beta  = [-i g alpha eta* + Gamma(|alpha|^2 - 1/2) beta] dt
             + sqrt(Gamma(|alpha|^2 - 1/2)/2) (dW3 + i dW4)
-  d eta   = [-i omega_c eta - i g alpha beta* - kappa eta] dt
+  d eta   = [-i Delta eta - i g alpha beta* - kappa eta] dt
             + sqrt(kappa/2) (dW5 + i dW6)
 
 with negative noise radicands clamped to zero (the diffusion matrix is not
@@ -26,8 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .engine import EnsembleModel
-from .params import (ALPHA_SQRT_N_PLUS_HALF, NumericalParams, SystemParams,
-                     SCHEME_COLLECTIVE)
+from .params import NumericalParams, SystemParams, SCHEME_COLLECTIVE
 from .series import ObservableSeries, time_grid
 
 NOISE_DIM = 6
@@ -48,12 +48,9 @@ def _require_collective(params: SystemParams):
 def _drift(alpha, beta, eta, params: SystemParams):
     """Drift field; elementwise over arrays or scalars."""
     g, gam, kap = params.g, params.gamma_col, params.kappa
-    wa4 = 0.25j * params.omega_a
-    d_alpha = -wa4 * alpha - 1j * g * beta * eta \
-        - gam * (np.abs(beta) ** 2 + 0.5) * alpha
-    d_beta = wa4 * beta - 1j * g * alpha * np.conj(eta) \
-        + gam * (np.abs(alpha) ** 2 - 0.5) * beta
-    d_eta = -1j * params.omega_c * eta - 1j * g * alpha * np.conj(beta) \
+    d_alpha = -1j * g * beta * eta - gam * (np.abs(beta) ** 2 + 0.5) * alpha
+    d_beta = -1j * g * alpha * np.conj(eta) + gam * (np.abs(alpha) ** 2 - 0.5) * beta
+    d_eta = -1j * params.detuning * eta - 1j * g * alpha * np.conj(beta) \
         - kap * eta
     return d_alpha, d_beta, d_eta
 
@@ -70,18 +67,16 @@ def _noise(alpha, beta, eta, dW, params: SystemParams):
     return d_alpha, d_beta, d_eta
 
 
-def _sample_block(n_traj: int, n_atoms: int, rng: np.random.Generator,
-                  alpha_sampling: str) -> np.ndarray:
+def _sample_block(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
     """(n_traj, 3) complex block for the state |e_1..e_N; 0>.
 
-    Mode a carries the N quanta: fixed amplitude sqrt(N) (or sqrt(N + 1/2) to
-    match the symmetric-ordered occupation) with uniform random phase; b and
-    eta are vacuum Wigner samples, complex Gaussian with <|.|^2> = 1/2.
+    Mode a carries the N quanta: fixed amplitude sqrt(N) with uniform random
+    phase; b and eta are vacuum Wigner samples, complex Gaussian with
+    <|.|^2> = 1/2.
     """
-    amp2 = n_atoms + 0.5 if alpha_sampling == ALPHA_SQRT_N_PLUS_HALF else float(n_atoms)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_traj)
     block = np.empty((n_traj, 3), dtype=complex)
-    block[:, 0] = np.sqrt(amp2) * np.exp(1j * phases)
+    block[:, 0] = np.sqrt(float(n_atoms)) * np.exp(1j * phases)
     vac = rng.standard_normal((n_traj, 4))
     block[:, 1] = 0.5 * (vac[:, 0] + 1j * vac[:, 1])
     block[:, 2] = 0.5 * (vac[:, 2] + 1j * vac[:, 3])
@@ -97,8 +92,7 @@ def collective_twa_model(params: SystemParams, num: NumericalParams) -> Ensemble
     _require_collective(params)
 
     def sample_initial(n, rng):
-        return _sample_block(n, params.n_atoms, rng, num.alpha_sampling) \
-            .view(float).reshape(n, 6)
+        return _sample_block(n, params.n_atoms, rng).view(float).reshape(n, 6)
 
     def drift(y, out):
         z, o = y.view(complex), out.view(complex)
@@ -123,8 +117,8 @@ def meanfield_collective_rhs(s: MeanFieldCollectiveState, params: SystemParams,
     """Mean-field equations for (<S_z>, <S+>, <c>), with <S-> = <S+>*.
 
     d<S_z> = -i g <c><S+> + i g <c>*<S-> - 2 Gamma [N/2(N/2+1) - <S_z>^2 + <S_z>]
-    d<S+>  = i omega_a <S+> - 2 i g <c>*<S_z> - Gamma <S+>
-    d<c>   = -i omega_c <c> - i g <S-> - kappa <c>
+    d<S+>  = -2 i g <c>*<S_z> - Gamma <S+>
+    d<c>   = -i Delta <c> - i g <S-> - kappa <c>
     """
     _require_collective(params)
     g, gam, kap = params.g, params.gamma_col, params.kappa
@@ -132,8 +126,8 @@ def meanfield_collective_rhs(s: MeanFieldCollectiveState, params: SystemParams,
     sminus = np.conj(s.splus)
     d_sz = float(np.real(-1j * g * s.c * s.splus + 1j * g * np.conj(s.c) * sminus)) \
         - 2.0 * gam * (j * (j + 1.0) - s.sz ** 2 + s.sz)
-    d_sp = 1j * params.omega_a * s.splus - 2j * g * np.conj(s.c) * s.sz - gam * s.splus
-    d_c = -1j * params.omega_c * s.c - 1j * g * sminus - kap * s.c
+    d_sp = -2j * g * np.conj(s.c) * s.sz - gam * s.splus
+    d_c = -1j * params.detuning * s.c - 1j * g * sminus - kap * s.c
     return MeanFieldCollectiveState(d_sz, d_sp, d_c)
 
 

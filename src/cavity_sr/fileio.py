@@ -98,12 +98,17 @@ def write_report(report: ScalingReport, manifest: RunManifest | None, path) -> P
 
 
 def read_report(path) -> ScalingReport:
+    """Load a report JSON; a missing required key raises ValueError naming
+    the file and the key."""
     raw = json.loads(Path(path).read_text())
-    return ScalingReport(
-        points=[(p["n"], p["intensity"], p.get("sem", 0.0)) for p in raw["points"]],
-        zeta=raw["zeta"], intercept=raw["intercept"], r_squared=raw["r_squared"],
-        zeta_stderr=raw.get("zeta_stderr", 0.0), config=raw.get("config", {}),
-        fingerprint=raw.get("fingerprint", ""), divergent=raw.get("divergent", []))
+    try:
+        return ScalingReport(
+            points=[(p["n"], p["intensity"], p.get("sem", 0.0)) for p in raw["points"]],
+            zeta=raw["zeta"], intercept=raw["intercept"], r_squared=raw["r_squared"],
+            zeta_stderr=raw.get("zeta_stderr", 0.0), config=raw.get("config", {}),
+            fingerprint=raw.get("fingerprint", ""), divergent=raw.get("divergent", []))
+    except KeyError as exc:
+        raise ValueError(f"report {path} lacks the required key {exc.args[0]!r}") from None
 
 
 def read_points_file(path) -> List[tuple]:

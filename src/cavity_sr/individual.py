@@ -4,12 +4,13 @@ cavity, discrete initial sampling, and the companion mean-field equations.
 Each atom carries a classical spin vector (s_x, s_y, s_z); the cavity
 amplitude eta is treated exactly as in the collective TWA (vacuum-sampled
 initial condition, sqrt(kappa/2) complex Gaussian noise).  The drift is the
-mean-field Heisenberg flow
+mean-field Heisenberg flow in the frame rotating at the atomic frequency,
+with Delta the cavity detuning:
 
-  ds_x = -omega_a s_y - 2 g s_z Im(eta) - gamma s_x
-  ds_y = +omega_a s_x - 2 g s_z Re(eta) - gamma s_y
+  ds_x = -2 g s_z Im(eta) - gamma s_x
+  ds_y = -2 g s_z Re(eta) - gamma s_y
   ds_z = +2 g [s_y Re(eta) + s_x Im(eta)] - 2 gamma (s_z + 1)
-  d eta = -i omega_c eta - kappa eta - (i g / 2) sum_i (s_x^i - i s_y^i)
+  d eta = -i Delta eta - kappa eta - (i g / 2) sum_i (s_x^i - i s_y^i)
 
 which is the published form with the purely imaginary (eta - eta*) factors
 restored to the real combinations -i(eta - eta*) = 2 Im(eta); the signs are
@@ -56,12 +57,11 @@ def _drift(sx, sy, sz, eta, params: SystemParams):
     g, gam, kap = params.g, params.gamma_ind, params.kappa
     re = np.real(eta)[..., None]
     im = np.imag(eta)[..., None]
-    wa = params.omega_a
-    dsx = -wa * sy - 2.0 * g * im * sz - gam * sx
-    dsy = wa * sx - 2.0 * g * re * sz - gam * sy
+    dsx = -2.0 * g * im * sz - gam * sx
+    dsy = -2.0 * g * re * sz - gam * sy
     dsz = 2.0 * g * (sy * re + sx * im) - 2.0 * gam * (sz + 1.0)
     drive = sx.sum(axis=-1) - 1j * sy.sum(axis=-1)
-    d_eta = -1j * params.omega_c * eta - kap * eta - 0.5j * g * drive
+    d_eta = -1j * params.detuning * eta - kap * eta - 0.5j * g * drive
     return dsx, dsy, dsz, d_eta
 
 
@@ -137,17 +137,16 @@ def meanfield_individual_rhs(s: MeanFieldIndividualState,
     """Mean-field equations with the cavity driven by the sum over atoms:
 
     d<sigma_z^i> = -2 i g <c><sigma_+^i> + 2 i g <c>*<sigma_-^i> - 2 gamma (1 + <sigma_z^i>)
-    d<sigma_+^i> = i omega_a <sigma_+^i> - i g <c>*<sigma_z^i> - gamma <sigma_+^i>
-    d<c>         = -i omega_c <c> - i g sum_i <sigma_-^i> - kappa <c>
+    d<sigma_+^i> = -i g <c>*<sigma_z^i> - gamma <sigma_+^i>
+    d<c>         = -i Delta <c> - i g sum_i <sigma_-^i> - kappa <c>
     """
     _require_individual(params)
     g, gam, kap = params.g, params.gamma_ind, params.kappa
     sminus = np.conj(s.sigma_plus)
     d_sz = np.real(-2j * g * s.c * s.sigma_plus + 2j * g * np.conj(s.c) * sminus) \
         - 2.0 * gam * (1.0 + s.sigma_z)
-    d_sp = 1j * params.omega_a * s.sigma_plus - 1j * g * np.conj(s.c) * s.sigma_z \
-        - gam * s.sigma_plus
-    d_c = -1j * params.omega_c * s.c - 1j * g * sminus.sum() - kap * s.c
+    d_sp = -1j * g * np.conj(s.c) * s.sigma_z - gam * s.sigma_plus
+    d_c = -1j * params.detuning * s.c - 1j * g * sminus.sum() - kap * s.c
     return MeanFieldIndividualState(d_sz, d_sp, complex(d_c))
 
 

@@ -173,10 +173,10 @@ def individual_operators(basis: BasisDescriptor):
     return sz, sigma_minus, _embed(eye_at, a)
 
 
-def _hamiltonian(params: SystemParams, sz, s_minus, c) -> np.ndarray:
+def _hamiltonian(params: SystemParams, s_minus, c) -> np.ndarray:
+    """H = Delta c^dag c + g (S+ c + S- c^dag), rotating at the atomic frequency."""
     s_plus = s_minus.conj().T
-    return (0.5 * params.omega_a * sz
-            + params.omega_c * (c.conj().T @ c)
+    return (params.detuning * (c.conj().T @ c)
             + params.g * (s_plus @ c + s_minus @ c.conj().T))
 
 
@@ -188,8 +188,8 @@ def build_liouvillian_collective(params: SystemParams, cutoff: int | None = None
     if params.n_atoms > MAX_COLLECTIVE_ATOMS:
         raise ValueError(f"collective oracle limited to N <= {MAX_COLLECTIVE_ATOMS}")
     basis = BasisDescriptor("collective", params.n_atoms, _resolve_cutoff(params, cutoff))
-    sz, sm, c = collective_operators(basis)
-    h = _hamiltonian(params, sz, sm, c)
+    _, sm, c = collective_operators(basis)
+    h = _hamiltonian(params, sm, c)
     return Liouvillian(h, [(2.0 * params.kappa, c), (2.0 * params.gamma_col, sm)], basis)
 
 
@@ -201,8 +201,8 @@ def build_liouvillian_individual(params: SystemParams, cutoff: int | None = None
     if params.n_atoms > MAX_INDIVIDUAL_ATOMS:
         raise ValueError(f"individual oracle limited to N <= {MAX_INDIVIDUAL_ATOMS}")
     basis = BasisDescriptor("individual", params.n_atoms, _resolve_cutoff(params, cutoff))
-    sz, sigma_minus, c = individual_operators(basis)
-    h = _hamiltonian(params, sz, sum(sigma_minus), c)
+    _, sigma_minus, c = individual_operators(basis)
+    h = _hamiltonian(params, sum(sigma_minus), c)
     collapse = [(2.0 * params.kappa, c)]
     collapse += [(2.0 * params.gamma_ind, sm) for sm in sigma_minus]
     return Liouvillian(h, collapse, basis)
@@ -296,6 +296,6 @@ def evolve_density_matrix(liouv: Liouvillian, rho0: DensityMatrix,
 def solve_oracle(params: SystemParams, num: NumericalParams) -> ObservableSeries:
     """Exact reference run from the fully excited state on the standard grid."""
     from .series import time_grid
-    liouv = build_liouvillian(params, num.photon_cutoff)
+    liouv = build_liouvillian(params)
     _, _, times = time_grid(num.dt, num.t_max)
     return evolve_density_matrix(liouv, fully_excited_vacuum(liouv.basis), times)

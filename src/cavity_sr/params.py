@@ -13,15 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-FRAME_LAB = "lab"
-FRAME_ROTATING = "rotating"
-
 SCHEME_COLLECTIVE = "collective"
 SCHEME_INDIVIDUAL = "individual"
-
-# Initial Wigner sampling conventions for the fully excited Schwinger mode.
-ALPHA_SQRT_N = "sqrt-n"
-ALPHA_SQRT_N_PLUS_HALF = "sqrt-n-plus-half"
 
 
 class ConfigurationError(ValueError):
@@ -38,9 +31,8 @@ class SystemParams:
 
     Exactly one of gamma_col / gamma_ind must be set; it selects the emission
     scheme (collective vs individual) and serves as the unit of inverse time.
-    In the rotating frame (at the atomic frequency) the effective frequencies
-    are omega_a = 0 and omega_c = omega_c - omega_a, so resonant runs carry no
-    fast phase evolution.
+    The equations are written in the frame rotating at the atomic frequency,
+    so detuning (cavity minus atomic frequency) is the only frequency.
     """
 
     n_atoms: int
@@ -48,9 +40,7 @@ class SystemParams:
     kappa: float = 0.0
     gamma_col: Optional[float] = None
     gamma_ind: Optional[float] = None
-    omega_a: float = 0.0
-    omega_c: float = 0.0
-    frame: str = FRAME_ROTATING
+    detuning: float = 0.0
 
     @property
     def scheme(self) -> str:
@@ -75,8 +65,6 @@ class NumericalParams:
     dt: Optional[float] = None
     t_max: Optional[float] = None
     smoothing_window: int = 5
-    photon_cutoff: Optional[int] = None
-    alpha_sampling: str = ALPHA_SQRT_N
 
 
 def _cavity_collective_rate(params: SystemParams) -> float:
@@ -129,9 +117,17 @@ def default_horizon(params: SystemParams) -> float:
     return min(2.5 / gam, max(1.0 / gam, burst))
 
 
+def _check_finite(owner, names, errors: list) -> None:
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not math.isfinite(value):
+            errors.append(f"non-finite value: {name} = {value}")
+
+
 def _check_system(p: SystemParams, errors: list) -> None:
     if int(p.n_atoms) < 1:
         errors.append("zero atoms: n_atoms must be >= 1")
+    _check_finite(p, ("g", "kappa", "gamma_col", "gamma_ind", "detuning"), errors)
     for name in ("g", "kappa"):
         if getattr(p, name) < 0:
             errors.append(f"negative rate: {name} = {getattr(p, name)}")
@@ -140,13 +136,14 @@ def _check_system(p: SystemParams, errors: list) -> None:
         errors.append("exactly one of gamma_col / gamma_ind must be set")
     elif active[0] < 0:
         errors.append(f"negative rate: atomic decay = {active[0]}")
-    if p.frame not in (FRAME_LAB, FRAME_ROTATING):
-        errors.append(f"unknown frame {p.frame!r}")
 
 
-def _check_numerics(p: SystemParams, num: NumericalParams, errors: list) -> None:
+def _check_numerics(num: NumericalParams, errors: list) -> None:
     if num.n_traj < 1:
         errors.append(f"n_traj must be >= 1, got {num.n_traj}")
+    if num.seed < 0:
+        errors.append(f"seed must be a non-negative integer, got {num.seed}")
+    _check_finite(num, ("dt", "t_max"), errors)
     if num.dt is not None and num.dt <= 0:
         errors.append(f"dt must be positive, got {num.dt}")
     if num.t_max is not None and num.t_max <= 0:
@@ -155,30 +152,22 @@ def _check_numerics(p: SystemParams, num: NumericalParams, errors: list) -> None
         errors.append(f"dt = {num.dt} exceeds t_max = {num.t_max}")
     if num.smoothing_window < 1 or num.smoothing_window % 2 == 0:
         errors.append(f"smoothing window must be odd and >= 1, got {num.smoothing_window}")
-    if num.photon_cutoff is not None and num.photon_cutoff < p.n_atoms + 1:
-        errors.append(
-            f"photon cutoff {num.photon_cutoff} below n_atoms + 1 = {p.n_atoms + 1}"
-        )
-    if num.alpha_sampling not in (ALPHA_SQRT_N, ALPHA_SQRT_N_PLUS_HALF):
-        errors.append(f"unknown alpha sampling convention {num.alpha_sampling!r}")
 
 
 def validate_params(params: SystemParams, num: NumericalParams):
     """Validate and normalize a run configuration.
 
-    Returns a (SystemParams, NumericalParams) pair with rotating-frame
-    frequencies resolved and dt / t_max defaults filled in.  Raises
-    ConfigurationError carrying the complete list of violations otherwise.
+    Returns a (SystemParams, NumericalParams) pair with the dt / t_max
+    defaults filled in.  Raises ConfigurationError carrying the complete list
+    of violations (including any NaN or infinite rate, detuning, dt or t_max)
+    otherwise.
     Idempotent: validating an already validated pair returns it unchanged.
     """
     errors: list = []
     _check_system(params, errors)
-    _check_numerics(params, num, errors)
+    _check_numerics(num, errors)
     if errors:
         raise ConfigurationError(errors)
-
-    if params.frame == FRAME_ROTATING:
-        params = replace(params, omega_a=0.0, omega_c=params.omega_c - params.omega_a)
     dt = num.dt if num.dt is not None else default_time_step(params)
     t_max = num.t_max if num.t_max is not None else default_horizon(params)
     t_max = max(t_max, dt)
@@ -188,16 +177,14 @@ def validate_params(params: SystemParams, num: NumericalParams):
 
 
 def collective_params(n_atoms: int, g: float = 0.0, kappa: float = 0.0,
-                      gamma: float = 1.0, detuning: float = 0.0,
-                      frame: str = FRAME_ROTATING) -> SystemParams:
+                      gamma: float = 1.0, detuning: float = 0.0) -> SystemParams:
     """Collective-emission configuration in Gamma = gamma units."""
     return SystemParams(n_atoms=n_atoms, g=g, kappa=kappa, gamma_col=gamma,
-                        omega_a=0.0, omega_c=detuning, frame=frame)
+                        detuning=detuning)
 
 
 def individual_params(n_atoms: int, g: float = 0.0, kappa: float = 0.0,
-                      gamma: float = 1.0, detuning: float = 0.0,
-                      frame: str = FRAME_ROTATING) -> SystemParams:
+                      gamma: float = 1.0, detuning: float = 0.0) -> SystemParams:
     """Individual-emission configuration in gamma units."""
     return SystemParams(n_atoms=n_atoms, g=g, kappa=kappa, gamma_ind=gamma,
-                        omega_a=0.0, omega_c=detuning, frame=frame)
+                        detuning=detuning)

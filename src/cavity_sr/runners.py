@@ -13,14 +13,7 @@ from .oracle import solve_oracle
 from .params import (NumericalParams, SystemParams, SCHEME_COLLECTIVE,
                      SCHEME_INDIVIDUAL)
 
-SOLVER_ALIASES = {
-    "stochastic": "stochastic",
-    "twa": "twa",
-    "dtwa": "dtwa",
-    "meanfield": "meanfield",
-    "mean-field": "meanfield",
-    "oracle": "oracle",
-}
+SOLVERS = ("stochastic", "twa", "dtwa", "meanfield", "oracle")
 
 
 @dataclass(frozen=True)
@@ -31,11 +24,10 @@ class RunInfo:
 
 
 def resolve_solver(scheme: str, solver: str) -> str:
-    """Normalize the solver name and reject invalid scheme/solver pairs."""
-    try:
-        solver = SOLVER_ALIASES[solver]
-    except KeyError:
-        raise ValueError(f"unknown solver {solver!r}") from None
+    """Resolve "stochastic" to the scheme's phase-space solver and reject
+    unknown solvers and invalid scheme/solver pairs."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
     if solver == "stochastic":
         solver = "twa" if scheme == SCHEME_COLLECTIVE else "dtwa"
     if solver == "twa" and scheme != SCHEME_COLLECTIVE:

@@ -106,6 +106,15 @@ class TestPowerLawFit:
         with pytest.raises(ValueError, match="200"):
             power_law_fit([(100, 10.0), (200, -1.0), (400, 40.0)])
 
+    @pytest.mark.parametrize("points, message", [
+        ([(10, float("nan")), (20, 4.0), (40, 16.0)], "non-finite emission strength at N = 10"),
+        ([(10, 1.0), (20, 4.0), (40, float("inf"))], "non-finite emission strength at N = 40"),
+        ([(10, 1.0), (float("inf"), 4.0), (40, 16.0)], "positive and finite"),
+    ], ids=["nan-intensity", "inf-intensity", "inf-atom-number"])
+    def test_non_finite_point_is_rejected(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            power_law_fit(points)
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="3"):
             power_law_fit([(10, 1.0), (20, 2.0)])
@@ -163,7 +172,7 @@ def report_with(zeta, dt=(1e-3,), n_traj=1000, **config_overrides):
     config = {"scheme": "individual", "solver": "dtwa", "n_list": [50, 100, 200],
               "dt": list(dt), "t_max": None, "n_traj": n_traj, "seed": 1,
               "smoothing_window": 5, "g": 2.0, "kappa": 20.0, "gamma": 1.0,
-              "detuning": 0.0, "alpha_sampling": "sqrt-n"}
+              "detuning": 0.0}
     config.update(config_overrides)
     return ScalingReport(points=[(50, 1.0, 0.0), (100, 2.0, 0.0), (200, 4.0, 0.0)],
                          zeta=zeta, intercept=0.0, r_squared=1.0,

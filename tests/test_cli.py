@@ -13,6 +13,20 @@ def run_cli(*argv):
     return cli_dispatch(list(argv))
 
 
+def count_solves(monkeypatch):
+    """Replace the solver behind simulate and sweep by one that records its
+    calls and fails, so a run that gets past validation ends at once."""
+    from cavity_sr import cli, runners
+    calls = []
+
+    def solve(*args):
+        calls.append(args)
+        raise RuntimeError("solver reached")
+    monkeypatch.setattr(runners, "simulate_timeseries", solve)
+    monkeypatch.setattr(cli, "simulate_timeseries", solve)
+    return calls
+
+
 def small_series():
     t = np.array([0.0, 0.1, 0.2])
     return ObservableSeries(times=t, sz_mean=np.array([5.0, 2.0, -4.9]),
@@ -114,6 +128,31 @@ class TestValidationAndExitCodes:
         assert code == 1
         assert "zero atoms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--solver", "meanfield", "--n-atoms", "10", "--detuning", "nan"],
+         "detuning = nan"),
+        (["simulate", "--solver", "meanfield", "--n-atoms", "10", "--t-max", "inf"],
+         "t_max = inf"),
+        (["simulate", "--solver", "meanfield", "--n-atoms", "10", "--dt", "nan"],
+         "dt = nan"),
+        (["simulate", "--solver", "meanfield", "--n-atoms", "10", "--gamma", "nan"],
+         "gamma_col = nan"),
+        (["simulate", "--solver", "twa", "--n-atoms", "10", "--kappa", "nan"],
+         "kappa = nan"),
+        (["simulate", "--solver", "twa", "--n-atoms", "10", "--g", "inf"],
+         "g = inf"),
+        (["simulate", "--solver", "twa", "--n-atoms", "10", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+    ], ids=["nan-detuning", "inf-t-max", "nan-dt", "nan-gamma", "nan-kappa",
+            "inf-g", "negative-seed"])
+    def test_bad_number_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                               capsys, argv, message):
+        calls = count_solves(monkeypatch)
+        code = run_cli(*argv, "--scheme", "collective", "--out", str(tmp_path))
+        assert code == 1
+        assert calls == []
+        assert message in capsys.readouterr().err
+
 
 class TestFit:
     def test_trivial_quadratic_csv(self, tmp_path, capsys):
@@ -134,6 +173,30 @@ class TestFit:
         assert run_cli("fit", "--input", str(out / "report.json")) == 0
         refit = json.loads(capsys.readouterr().out)
         assert refit["zeta"] == pytest.approx(report.zeta, abs=1e-12)
+
+    @pytest.mark.parametrize("rows, n", [
+        ("10,nan\n20,400\n40,1600", "10"),
+        ("10,100\n20,400\n40,inf", "40"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_csv_point_fails_naming_the_atom_number(self, tmp_path,
+                                                               capsys, rows, n):
+        points = tmp_path / "points.csv"
+        points.write_text(f"n,intensity\n{rows}\n")
+        assert run_cli("fit", "--input", str(points)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"non-finite emission strength at N = {n}" in captured.err
+
+    @pytest.mark.parametrize("command", ["fit", "check"])
+    def test_report_without_required_key_names_file_and_key(self, tmp_path,
+                                                            capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"points": []}\n')
+        argv = ["fit", "--input", str(bad)] if command == "fit" \
+            else ["check", str(bad), str(bad)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'zeta'" in err
 
 
 class TestSweepAndCheck:
@@ -170,14 +233,12 @@ class TestSweepAndCheck:
         (["--n-list", "50,100,200", "--trajectories", "0"], "n_traj"),
         (["--n-list", "50,abc,200"], "--n-list entry 'abc'"),
         (["--n-list", "50,,200"], "--n-list entry ''"),
+        (["--n-list", "50,100,200", "--detuning", "inf"], "detuning = inf"),
     ], ids=["duplicate-n", "zero-n", "zero-trajectories", "non-integer-n",
-            "empty-n"])
+            "empty-n", "inf-detuning"])
     def test_bad_sweep_input_fails_before_any_solve(self, tmp_path, monkeypatch,
                                                     capsys, extra, message):
-        from cavity_sr import runners
-        calls = []
-        monkeypatch.setattr(runners, "simulate_timeseries",
-                            lambda *args: calls.append(args))
+        calls = count_solves(monkeypatch)
         code = run_cli("sweep", "--scheme", "collective", "--solver",
                        "meanfield", *extra, "--out", str(tmp_path))
         assert code == 1

@@ -5,12 +5,11 @@ from cavity_sr import (MeanFieldCollectiveState, NumericalParams,
                        collective_params, collective_twa_model,
                        meanfield_collective_rhs, solve_meanfield_collective,
                        validate_params)
-from cavity_sr.params import ALPHA_SQRT_N_PLUS_HALF, SystemParams
+from cavity_sr.params import SystemParams
 
 
 def cparams(**kw):
-    defaults = dict(n_atoms=10, g=0.0, kappa=0.0, gamma_col=0.0,
-                    omega_a=0.0, omega_c=0.0, frame="lab")
+    defaults = dict(n_atoms=10, g=0.0, kappa=0.0, gamma_col=0.0, detuning=0.0)
     defaults.update(kw)
     return SystemParams(**defaults)
 
@@ -55,18 +54,18 @@ class TestDrift:
 
     def test_generic_substitution(self):
         # independent symbolic substitution into the drift equations
-        p = cparams(omega_a=4.0, omega_c=1.0, g=1.0, gamma_col=0.5, kappa=0.5)
+        p = cparams(detuning=1.0, g=1.0, gamma_col=0.5, kappa=0.5)
         d_alpha, d_beta, d_eta = drift_at(p, 1.0, 1.0, 1.0)
-        assert d_alpha == pytest.approx(-0.75 - 2.0j)
-        assert d_beta == pytest.approx(0.25 + 0.0j)
+        assert d_alpha == pytest.approx(-0.75 - 1.0j)
+        assert d_beta == pytest.approx(0.25 - 1.0j)
         assert d_eta == pytest.approx(-0.5 - 2.0j)
 
     def test_generic_complex_point(self):
         # frozen CAS values at a non-symmetric phase-space point
-        p = cparams(omega_a=2.0, omega_c=3.0, g=1.5, gamma_col=0.75, kappa=0.4)
+        p = cparams(detuning=3.0, g=1.5, gamma_col=0.75, kappa=0.4)
         d_alpha, d_beta, d_eta = drift_at(p, 0.5 + 2j, -1 + 1j / 3, 0.25 - 1j)
-        assert d_alpha == pytest.approx(2.0208333333333335 - 2.7916666666666665j)
-        assert d_beta == pytest.approx(-1.4791666666666667 + 3.25j)
+        assert d_alpha == pytest.approx(1.0208333333333335 - 2.5416666666666665j)
+        assert d_beta == pytest.approx(-1.3125 + 3.75j)
         assert d_eta == pytest.approx(-6.35 - 0.6j)
 
 
@@ -102,14 +101,14 @@ class TestSampling:
     def test_vacuum_second_moment(self):
         rng = np.random.default_rng(123)
         from cavity_sr.collective import _sample_block
-        block = _sample_block(1_000_000, 10, rng, "sqrt-n")
+        block = _sample_block(1_000_000, 10, rng)
         assert np.mean(np.abs(block[:, 1]) ** 2) == pytest.approx(0.5, abs=0.002)
         assert np.mean(np.abs(block[:, 2]) ** 2) == pytest.approx(0.5, abs=0.002)
 
     def test_vacuum_mean_is_zero(self):
         rng = np.random.default_rng(7)
         from cavity_sr.collective import _sample_block
-        block = _sample_block(1_000_000, 10, rng, "sqrt-n")
+        block = _sample_block(1_000_000, 10, rng)
         sem = 0.5 / 1000.0   # std of Re/Im is 1/2
         assert abs(np.mean(block[:, 1])) < 3 * sem * np.sqrt(2)
         assert abs(np.mean(block[:, 2])) < 3 * sem * np.sqrt(2)
@@ -119,14 +118,11 @@ class TestSampling:
         p = cparams(n_atoms=64)
         y = collective_twa_model(p, NumericalParams()).sample_initial(1, rng)
         assert abs(y.view(complex)[0, 0]) == pytest.approx(8.0)
-        num = NumericalParams(alpha_sampling=ALPHA_SQRT_N_PLUS_HALF)
-        y2 = collective_twa_model(p, num).sample_initial(1, rng)
-        assert abs(y2.view(complex)[0, 0]) == pytest.approx(np.sqrt(64.5))
 
     def test_phase_is_uniform(self):
         rng = np.random.default_rng(9)
         from cavity_sr.collective import _sample_block
-        block = _sample_block(200_000, 4, rng, "sqrt-n")
+        block = _sample_block(200_000, 4, rng)
         # mean of alpha vanishes only if the phase is spread over the circle
         assert abs(np.mean(block[:, 0])) < 0.02 * 2
 
@@ -165,11 +161,11 @@ class TestMeanField:
 
     def test_generic_substitution(self):
         # frozen CAS values: N=6, Sz=5/4, S+=1+i/2, c=-1/3+i/5
-        p = cparams(omega_a=2.0, omega_c=3.0, g=1.5, gamma_col=0.75, kappa=0.4)
+        p = cparams(detuning=3.0, g=1.5, gamma_col=0.75, kappa=0.4)
         s = MeanFieldCollectiveState(1.25, 1 + 0.5j, -1 / 3 + 0.2j)
         d = meanfield_collective_rhs(s, p, 6)
         assert d.sz == pytest.approx(-17.43125)
-        assert d.splus == pytest.approx(-2.5 + 2.875j)
+        assert d.splus == pytest.approx(-1.5 + 0.875j)
         assert d.c == pytest.approx(-0.016666666666666666 - 0.58j)
 
     def test_meanfield_solver_reaches_ground_state(self):
@@ -192,10 +188,10 @@ def integrate_drift_only(params, y0, dt, nsteps):
 
 class TestConservation:
     def setup_method(self):
-        self.params = cparams(g=2.0, omega_a=1.0, omega_c=0.5)
+        self.params = cparams(g=2.0, detuning=0.5)
         rng = np.random.default_rng(3)
         from cavity_sr.collective import _sample_block
-        self.y0 = _sample_block(16, 8, rng, "sqrt-n").view(float).reshape(16, 6)
+        self.y0 = _sample_block(16, 8, rng).view(float).reshape(16, 6)
 
     @staticmethod
     def invariants(y):

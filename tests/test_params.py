@@ -1,4 +1,4 @@
-import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +9,7 @@ from cavity_sr import (ConfigurationError, NumericalParams, SystemParams,
 
 
 def test_paper_figure_configuration_is_valid():
-    # omega_a = omega, kappa = Gamma, g = 10 Gamma, N = 100
+    # resonant cavity, kappa = Gamma, g = 10 Gamma, N = 100
     params = collective_params(n_atoms=100, g=10.0, kappa=1.0)
     num = NumericalParams(dt=1e-4)
     p, n = validate_params(params, num)
@@ -53,25 +53,33 @@ def test_even_smoothing_window_rejected():
         validate_params(collective_params(4), NumericalParams(smoothing_window=2))
 
 
-def test_small_photon_cutoff_rejected():
-    with pytest.raises(ConfigurationError, match="photon cutoff"):
-        validate_params(collective_params(4), NumericalParams(photon_cutoff=3))
+@given(field=st.sampled_from(["g", "kappa", "gamma", "detuning"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       make=st.sampled_from([collective_params, individual_params]),
+       n=st.integers(1, 1000), rate=st.floats(0, 50))
+def test_non_finite_rate_is_rejected_naming_the_field(field, value, make, n, rate):
+    rates = dict(g=rate, kappa=rate, gamma=rate, detuning=rate)
+    rates[field] = value
+    with pytest.raises(ConfigurationError, match="non-finite value") as err:
+        validate_params(make(n_atoms=n, **rates), NumericalParams())
+    assert field in str(err.value)
 
 
-def test_rotating_frame_resolution():
-    params = SystemParams(n_atoms=3, gamma_col=1.0, omega_a=7.0, omega_c=7.5,
-                          frame="rotating")
-    p, _ = validate_params(params, NumericalParams())
-    assert p.omega_a == 0.0
-    assert p.omega_c == pytest.approx(0.5)
-    lab, _ = validate_params(dataclasses.replace(params, frame="lab"),
-                             NumericalParams())
-    assert lab.omega_a == 7.0 and lab.omega_c == 7.5
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", math.nan, "dt = nan"),
+    ("dt", math.inf, "dt = inf"),
+    ("t_max", math.nan, "t_max = nan"),
+    ("t_max", math.inf, "t_max = inf"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+])
+def test_bad_numerics_are_rejected_naming_the_field(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        validate_params(collective_params(4), NumericalParams(**{field: value}))
 
 
 def test_validation_idempotent():
     params = SystemParams(n_atoms=50, g=2.0, kappa=20.0, gamma_ind=1.0,
-                          omega_a=3.0, omega_c=3.0)
+                          detuning=3.0)
     once = validate_params(params, NumericalParams(seed=9))
     twice = validate_params(*once)
     assert once == twice
