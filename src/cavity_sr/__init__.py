@@ -17,11 +17,9 @@ from .collective import (collective_twa_model, meanfield_collective_rhs,
                          solve_meanfield_collective, MeanFieldCollectiveState)
 from .individual import (individual_dtwa_model, meanfield_individual_rhs,
                          solve_meanfield_individual, MeanFieldIndividualState)
-from .oracle import (BasisDescriptor, CutoffSaturationError, DensityMatrix,
-                     Liouvillian, build_liouvillian,
+from .oracle import (BasisDescriptor, Liouvillian, build_liouvillian,
                      build_liouvillian_collective, build_liouvillian_individual,
-                     coherent_cavity_state, evolve_density_matrix,
-                     fully_excited_vacuum, solve_oracle)
+                     evolve_density_matrix, solve_oracle)
 from .analysis import (ConvergenceVerdict, EmissionMeasurement,
                        IncomparableReportsError, PowerLawFit, ScalingReport,
                        UnresolvedBurstError, convergence_check,

@@ -98,9 +98,11 @@ def write_report(report: ScalingReport, manifest: RunManifest | None, path) -> P
 
 
 def read_report(path) -> ScalingReport:
-    """Load a report JSON; a missing required key raises ValueError naming
-    the file and the key."""
+    """Load a report JSON; a missing required key or a malformed point
+    raises ValueError naming the file."""
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"report {path} is not a JSON object")
     try:
         return ScalingReport(
             points=[(p["n"], p["intensity"], p.get("sem", 0.0)) for p in raw["points"]],
@@ -109,6 +111,9 @@ def read_report(path) -> ScalingReport:
             fingerprint=raw.get("fingerprint", ""), divergent=raw.get("divergent", []))
     except KeyError as exc:
         raise ValueError(f"report {path} lacks the required key {exc.args[0]!r}") from None
+    except TypeError:
+        raise ValueError(f"report {path}: points must be objects with keys "
+                         "n, intensity[, sem]") from None
 
 
 def read_points_file(path) -> List[tuple]:
@@ -117,15 +122,19 @@ def read_points_file(path) -> List[tuple]:
     text = path.read_text().strip()
     if text.startswith("{"):
         return [(n, i) for n, i, _ in read_report(path).points]
-    lines = text.splitlines()
+    lines = text.splitlines() or [""]
     header = [h.strip().lower() for h in lines[0].split(",")]
     if header[:2] != ["n", "intensity"]:
-        raise ValueError("points file must be a report JSON or CSV with "
-                         "header n,intensity[,sem]")
+        raise ValueError(f"points file {path} must be a report JSON or CSV "
+                         "with header n,intensity[,sem]")
     points = []
-    for line in lines[1:]:
-        vals = [float(v) for v in line.split(",")]
-        points.append((vals[0], vals[1]))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            n, intensity = [float(v) for v in line.split(",")][:2]
+        except ValueError:
+            raise ValueError(f"points file {path} line {lineno}: expected "
+                             f"n,intensity[,sem], got {line!r}") from None
+        points.append((n, intensity))
     return points
 
 

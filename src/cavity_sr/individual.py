@@ -24,6 +24,11 @@ Wiener increment dW_i, which approximately preserves the spin length:
   delta s_x = -sqrt(2 gamma) s_y dW_i
   delta s_y = +sqrt(2 gamma) s_x dW_i
   delta s_z = +sqrt(2 gamma) (s_z + 1) dW_i
+
+The mean-field solver is the free-space reference: from full inversion
+<sigma+> = <c> = 0 holds exactly, so g, kappa and Delta never enter and its
+I(N) and zeta are those of independent decay.  It cannot show the cavity's
+effect.
 """
 
 from __future__ import annotations

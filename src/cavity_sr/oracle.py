@@ -1,24 +1,20 @@
 """Exact Lindblad master-equation integrator for small systems.
 
-Ground truth for validating the stochastic and mean-field solvers.  Two bases:
+Ground truth for validating the stochastic and mean-field solvers, always
+run from the fully excited cavity vacuum.  Two bases:
 
 * collective - the dissipator uses only collective operators, so total spin
-  J = N/2 is conserved and the Dicke ladder |J, m> x Fock(cutoff) suffices,
-  dimension (N+1)(cutoff+1); N <= 30.
-* individual - full product basis 2^N x Fock(cutoff); N <= 6.
+  J = N/2 is conserved and the Dicke ladder |J, m> x Fock(0..N) suffices,
+  dimension (N+1)^2; N <= 30.
+* individual - full product basis 2^N x Fock(0..N); N <= 6.
 
 The master equation is one sparse superoperator on row-major vec(rho).  The
 Hamiltonian conserves the excitation number n_exc (excited atoms + photons)
-and every jump lowers it by one on both sides of rho, so the entries (i, j)
-whose n_exc(i) - n_exc(j) occurs in rho0 and whose n_exc values do not exceed
-the largest one in rho0 form a set the superoperator maps into itself, in the
-truncated Fock basis too.  Only those entries are propagated, and S_z and
-c^dag c, diagonal in both bases, are read from the populations alone.
-
-The default photon cutoff is N + 1, above the N photons that a state with at
-most N excitations can hold.  A state with more excitations (e.g. a coherent
-cavity state) can reach the top Fock level, whose population is monitored
-for saturation.
+and every jump lowers it by one on both sides of rho.  The initial state has
+n_exc = N, so rho only ever holds entries (i, j) with n_exc(i) = n_exc(j) <= N;
+those states hold at most N photons, which is why the Fock space 0..N is exact
+and no photon cutoff is needed.  Only those entries are propagated, and S_z
+and c^dag c, diagonal in both bases, are read from the populations alone.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .params import NumericalParams, SystemParams
-from .series import ObservableSeries
+from .series import ObservableSeries, time_grid
 
 MAX_COLLECTIVE_ATOMS = 30
 MAX_INDIVIDUAL_ATOMS = 6
@@ -39,18 +35,12 @@ MAX_INDIVIDUAL_ATOMS = 6
 RTOL = 1e-10
 ATOL = 1e-12
 TRACE_TOL = 1e-10
-SATURATION_TOL = 1e-6
-
-
-class CutoffSaturationError(RuntimeError):
-    """Top Fock level acquired population; rerun with a larger cutoff."""
 
 
 @dataclass(frozen=True)
 class BasisDescriptor:
     kind: str                   # "collective" | "individual"
     n_atoms: int
-    photon_cutoff: int
 
     @property
     def atom_dim(self) -> int:
@@ -58,7 +48,7 @@ class BasisDescriptor:
 
     @property
     def cavity_dim(self) -> int:
-        return self.photon_cutoff + 1
+        return self.n_atoms + 1
 
     @property
     def dim(self) -> int:
@@ -78,17 +68,6 @@ class BasisDescriptor:
         else:                   # per-atom bit 1 is |g>
             ground = np.array([bin(k).count("1") for k in range(self.atom_dim)])
         return np.repeat(self.n_atoms - ground, self.cavity_dim)
-
-
-@dataclass
-class DensityMatrix:
-    data: np.ndarray
-    basis: BasisDescriptor
-
-    def __post_init__(self):
-        d = self.basis.dim
-        if self.data.shape != (d, d):
-            raise ValueError(f"density matrix shape {self.data.shape} != ({d}, {d})")
 
 
 class Liouvillian:
@@ -119,43 +98,29 @@ class Liouvillian:
                                         + sparse.kron(eye, a.conj(), format="csr") + jumps)
 
 
-def _fock_annihilator(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1).astype(complex)
-
-
-def _embed(atom_op: np.ndarray, cavity_op: np.ndarray) -> np.ndarray:
-    return np.kron(atom_op, cavity_op)
-
-
-def _resolve_cutoff(params: SystemParams, cutoff) -> int:
-    if cutoff is None:
-        return params.n_atoms + 1
-    if cutoff < params.n_atoms + 1:
-        raise ValueError(f"photon cutoff {cutoff} below n_atoms + 1")
-    return int(cutoff)
+def _fock_annihilator(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
 
 
 def collective_operators(basis: BasisDescriptor):
-    """(S_z, S_minus, c) on the Dicke ladder x Fock space; index 0 of the
+    """(S_minus, c) on the Dicke ladder x Fock space; index 0 of the
     ladder is the fully excited state m = +J."""
     n = basis.n_atoms
     j = 0.5 * n
     m = j - np.arange(n + 1)
-    sz_at = np.diag(m).astype(complex)
     sm_at = np.zeros((n + 1, n + 1), dtype=complex)
     for i in range(n):
         sm_at[i + 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] - 1))
     eye_at = np.eye(n + 1, dtype=complex)
     eye_c = np.eye(basis.cavity_dim, dtype=complex)
-    a = _fock_annihilator(basis.photon_cutoff)
-    return (_embed(sz_at, eye_c), _embed(sm_at, eye_c), _embed(eye_at, a))
+    a = _fock_annihilator(basis.cavity_dim)
+    return np.kron(sm_at, eye_c), np.kron(eye_at, a)
 
 
 def individual_operators(basis: BasisDescriptor):
-    """(S_z, [sigma_minus^i], c) on the 2^N product x Fock space; per-atom
+    """([sigma_minus^i], c) on the 2^N product x Fock space; per-atom
     basis |e> = index 0."""
     n = basis.n_atoms
-    sz1 = np.diag([1.0, -1.0]).astype(complex)
     sm1 = np.array([[0, 0], [1, 0]], dtype=complex)
     eye2 = np.eye(2, dtype=complex)
 
@@ -166,11 +131,10 @@ def individual_operators(basis: BasisDescriptor):
         return out
 
     eye_c = np.eye(basis.cavity_dim, dtype=complex)
-    a = _fock_annihilator(basis.photon_cutoff)
-    sz = sum(_embed(chain(sz1, i), eye_c) for i in range(n)) / 2.0
-    sigma_minus = [_embed(chain(sm1, i), eye_c) for i in range(n)]
+    a = _fock_annihilator(basis.cavity_dim)
+    sigma_minus = [np.kron(chain(sm1, i), eye_c) for i in range(n)]
     eye_at = np.eye(basis.atom_dim, dtype=complex)
-    return sz, sigma_minus, _embed(eye_at, a)
+    return sigma_minus, np.kron(eye_at, a)
 
 
 def _hamiltonian(params: SystemParams, s_minus, c) -> np.ndarray:
@@ -180,93 +144,67 @@ def _hamiltonian(params: SystemParams, s_minus, c) -> np.ndarray:
             + params.g * (s_plus @ c + s_minus @ c.conj().T))
 
 
-def build_liouvillian_collective(params: SystemParams, cutoff: int | None = None) -> Liouvillian:
+def build_liouvillian_collective(params: SystemParams) -> Liouvillian:
     """Master equation with the collective jump S_minus at rate 2*Gamma and
     the cavity jump c at rate 2*kappa."""
     if params.gamma_col is None:
         raise ValueError("collective oracle needs gamma_col")
     if params.n_atoms > MAX_COLLECTIVE_ATOMS:
         raise ValueError(f"collective oracle limited to N <= {MAX_COLLECTIVE_ATOMS}")
-    basis = BasisDescriptor("collective", params.n_atoms, _resolve_cutoff(params, cutoff))
-    _, sm, c = collective_operators(basis)
+    basis = BasisDescriptor("collective", params.n_atoms)
+    sm, c = collective_operators(basis)
     h = _hamiltonian(params, sm, c)
     return Liouvillian(h, [(2.0 * params.kappa, c), (2.0 * params.gamma_col, sm)], basis)
 
 
-def build_liouvillian_individual(params: SystemParams, cutoff: int | None = None) -> Liouvillian:
+def build_liouvillian_individual(params: SystemParams) -> Liouvillian:
     """Master equation with N independent jumps sigma_minus^i at rate 2*gamma
     each, plus the cavity jump."""
     if params.gamma_ind is None:
         raise ValueError("individual oracle needs gamma_ind")
     if params.n_atoms > MAX_INDIVIDUAL_ATOMS:
         raise ValueError(f"individual oracle limited to N <= {MAX_INDIVIDUAL_ATOMS}")
-    basis = BasisDescriptor("individual", params.n_atoms, _resolve_cutoff(params, cutoff))
-    _, sigma_minus, c = individual_operators(basis)
+    basis = BasisDescriptor("individual", params.n_atoms)
+    sigma_minus, c = individual_operators(basis)
     h = _hamiltonian(params, sum(sigma_minus), c)
     collapse = [(2.0 * params.kappa, c)]
     collapse += [(2.0 * params.gamma_ind, sm) for sm in sigma_minus]
     return Liouvillian(h, collapse, basis)
 
 
-def build_liouvillian(params: SystemParams, cutoff: int | None = None) -> Liouvillian:
+def build_liouvillian(params: SystemParams) -> Liouvillian:
     if params.scheme == "collective":
-        return build_liouvillian_collective(params, cutoff)
-    return build_liouvillian_individual(params, cutoff)
+        return build_liouvillian_collective(params)
+    return build_liouvillian_individual(params)
 
 
-def fully_excited_vacuum(basis: BasisDescriptor) -> DensityMatrix:
-    """|e_1 ... e_N; 0><...|: index 0 in both factor orderings."""
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return DensityMatrix(rho, basis)
-
-
-def coherent_cavity_state(basis: BasisDescriptor, amplitude: complex,
-                          atoms_excited: bool = False) -> DensityMatrix:
-    """Product of an atomic basis state with a truncated coherent cavity state."""
-    n_ph = np.arange(basis.cavity_dim)
-    from scipy.special import gammaln
-    log_fact = gammaln(n_ph + 1.0)
-    amps = np.exp(n_ph * np.log(abs(amplitude)) - 0.5 * log_fact
-                  - 0.5 * abs(amplitude) ** 2 + 1j * n_ph * np.angle(amplitude)
-                  ) if abs(amplitude) > 0 else (n_ph == 0).astype(complex)
-    amps = amps / np.linalg.norm(amps)
-    atom = np.zeros(basis.atom_dim, dtype=complex)
-    atom[0 if atoms_excited else basis.atom_dim - 1] = 1.0
-    psi = np.kron(atom, amps)
-    return DensityMatrix(np.outer(psi, psi.conj()), basis)
-
-
-def invariant_entries(basis: BasisDescriptor, rho0: np.ndarray) -> np.ndarray:
+def invariant_entries(basis: BasisDescriptor) -> np.ndarray:
     """Row-major vec(rho) positions of the entries (i, j) with
-    n_exc(i) - n_exc(j) among the differences in the support of rho0 and
-    both n_exc at most its largest n_exc; the dynamics never leaves them."""
+    n_exc(i) = n_exc(j) <= N, the ones the fully excited vacuum (vec
+    position 0) can reach; the dynamics never leaves them."""
     n_exc = basis.excited_atoms + basis.photons
-    rows, cols = np.nonzero(rho0)
-    top = max(n_exc[rows].max(), n_exc[cols].max())
-    low = n_exc <= top
-    keep = (low[:, None] & low[None, :]
-            & np.isin(n_exc[:, None] - n_exc[None, :], n_exc[rows] - n_exc[cols]))
+    reachable = n_exc <= basis.n_atoms
+    keep = reachable[:, None] & (n_exc[:, None] == n_exc[None, :])
     return np.flatnonzero(keep)
 
 
-def evolve_density_matrix(liouv: Liouvillian, rho0: DensityMatrix,
-                          t_grid: np.ndarray) -> ObservableSeries:
-    """<S_z>(t) and <c^dag c>(t) by deterministic integration of the
-    master equation on the entries of rho that rho0 can reach (rtol 1e-10);
-    raises if the trace drifts beyond 1e-10 or the top Fock level saturates
-    above 1e-6."""
+def evolve_density_matrix(liouv: Liouvillian, t_grid: np.ndarray) -> ObservableSeries:
+    """<S_z>(t) and <c^dag c>(t) from the fully excited vacuum by deterministic
+    integration of the master equation on the entries of rho it can reach
+    (rtol 1e-10); raises if the trace drifts beyond 1e-10."""
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
     basis = liouv.basis
-    kept = invariant_entries(basis, rho0.data)
+    kept = invariant_entries(basis)
     restricted = liouv.superop[kept][:, kept]
 
     def rhs(t, y):
         return restricted @ y
 
-    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), rho0.data.ravel()[kept].astype(complex),
+    y0 = np.zeros(kept.size, dtype=complex)
+    y0[0] = 1.0                 # kept[0] = 0: |e_1 ... e_N; 0><...|
+    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), y0,
                     t_eval=t_grid, method="DOP853", rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise RuntimeError(f"master-equation integration failed: {sol.message}")
@@ -278,15 +216,9 @@ def evolve_density_matrix(liouv: Liouvillian, rho0: DensityMatrix,
     drift = float(np.max(np.abs(populations.sum(axis=0) - 1.0)))
     if drift > TRACE_TOL:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_TOL}")
-    photons = basis.photons[states]
-    top = float(populations[photons == basis.photon_cutoff].sum(axis=0).max())
-    if top > SATURATION_TOL:
-        raise CutoffSaturationError(
-            f"top Fock level population {top:.2e} > {SATURATION_TOL}; "
-            f"increase the photon cutoff beyond {basis.photon_cutoff}")
 
     sz = (basis.excited_atoms[states] - 0.5 * basis.n_atoms) @ populations
-    photon = photons @ populations
+    photon = basis.photons[states] @ populations
     zeros = np.zeros_like(sz)
     return ObservableSeries(times=t_grid, sz_mean=sz, sz_sem=zeros,
                             photon_mean=photon, photon_sem=zeros,
@@ -295,7 +227,6 @@ def evolve_density_matrix(liouv: Liouvillian, rho0: DensityMatrix,
 
 def solve_oracle(params: SystemParams, num: NumericalParams) -> ObservableSeries:
     """Exact reference run from the fully excited state on the standard grid."""
-    from .series import time_grid
     liouv = build_liouvillian(params)
     _, _, times = time_grid(num.dt, num.t_max)
-    return evolve_density_matrix(liouv, fully_excited_vacuum(liouv.basis), times)
+    return evolve_density_matrix(liouv, times)

@@ -8,6 +8,9 @@ from cavity_sr.cli import cli_dispatch
 from cavity_sr.fileio import (read_report, read_timeseries, write_timeseries)
 from cavity_sr.series import ObservableSeries
 
+# a report whose points are bare numbers instead of {"n", "intensity"} objects
+BAD_POINTS = '{"points": [1, 2], "zeta": 1, "intercept": 0, "r_squared": 1}'
+
 
 def run_cli(*argv):
     return cli_dispatch(list(argv))
@@ -187,16 +190,24 @@ class TestFit:
         assert captured.out == ""
         assert f"non-finite emission strength at N = {n}" in captured.err
 
-    @pytest.mark.parametrize("command", ["fit", "check"])
-    def test_report_without_required_key_names_file_and_key(self, tmp_path,
-                                                            capsys, command):
+    @pytest.mark.parametrize("command,text,fragment", [
+        pytest.param("fit", '{"points": []}', "'zeta'", id="fit"),
+        pytest.param("check", '{"points": []}', "'zeta'", id="check"),
+        pytest.param("check", "[]", "not a JSON object", id="check-list"),
+        pytest.param("check", BAD_POINTS, "points must be objects", id="check-bad-points"),
+        pytest.param("fit", BAD_POINTS, "points must be objects", id="fit-bad-points"),
+        pytest.param("fit", "n,intensity\n10,5\n20\n", "line 3", id="fit-short-csv-row"),
+        pytest.param("fit", "", "must be a report JSON or CSV", id="fit-empty-file"),
+    ])
+    def test_report_without_required_key_names_file_and_key(self, tmp_path, capsys,
+                                                            command, text, fragment):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"points": []}\n')
+        bad.write_text(text + "\n")
         argv = ["fit", "--input", str(bad)] if command == "fit" \
             else ["check", str(bad), str(bad)]
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
-        assert str(bad) in err and "'zeta'" in err
+        assert str(bad) in err and fragment in err
 
 
 class TestSweepAndCheck:

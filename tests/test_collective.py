@@ -3,7 +3,8 @@ import pytest
 
 from cavity_sr import (MeanFieldCollectiveState, NumericalParams,
                        collective_params, collective_twa_model,
-                       meanfield_collective_rhs, solve_meanfield_collective,
+                       individual_params, meanfield_collective_rhs,
+                       solve_meanfield_collective, solve_meanfield_individual,
                        validate_params)
 from cavity_sr.params import SystemParams
 
@@ -174,6 +175,19 @@ class TestMeanField:
         series = solve_meanfield_collective(params, num)
         assert series.sz_norm[0] == pytest.approx(1.0)
         assert series.sz_norm[-1] == pytest.approx(-1.0, abs=1e-6)
+
+    def test_solvers_ignore_the_cavity_from_full_inversion(self):
+        # <S+> = <c> = 0 is an exact invariant of both mean-field flows from
+        # full inversion, so g, kappa and Delta never enter: the mean-field
+        # solvers are free-space references in either scheme
+        num = NumericalParams(dt=1e-3, t_max=0.5)
+        for make, solve in [(collective_params, solve_meanfield_collective),
+                            (individual_params, solve_meanfield_individual)]:
+            free = solve(make(20), num)
+            cavity = solve(make(20, g=10.0, kappa=100.0, detuning=3.0), num)
+            np.testing.assert_array_equal(cavity.sz_mean, free.sz_mean)
+            np.testing.assert_array_equal(cavity.photon_mean, free.photon_mean)
+            assert not np.any(cavity.photon_mean)
 
 
 def integrate_drift_only(params, y0, dt, nsteps):
