@@ -113,8 +113,9 @@ def collective_twa_model(params: SystemParams, num: NumericalParams) -> Ensemble
         photon = np.abs(z[:, 2]) ** 2 - 0.5
         return {"sz": sz, "photon": photon}
 
-    return EnsembleModel(noise_dim=NOISE_DIM, sample_initial=sample_initial,
-                         drift=drift, noise=noise, observables=observables)
+    return EnsembleModel(state_dim=6, noise_dim=NOISE_DIM,
+                         sample_initial=sample_initial, drift=drift, noise=noise,
+                         observables=observables)
 
 
 def meanfield_collective_rhs(s: MeanFieldCollectiveState, params: SystemParams,

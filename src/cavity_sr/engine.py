@@ -1,13 +1,30 @@
 """Fixed-step Euler-Maruyama integrator and parallel trajectory-ensemble runner.
 
-Trajectories are integrated in fixed-size chunks (vectorized over the chunk),
-chunks run on a thread pool, and per-chunk statistics are merged in chunk
-order with the pairwise mean/variance combination, so the output is
-bit-identical for any worker count.
+Trajectories fall into fixed-size chunks of CHUNK_SIZE, and each chunk
+samples its initial states and draws its Wiener increments from its own
+stream, chunk_stream(seed, chunk index).  Whole consecutive chunks are
+integrated as one state block, so drift, noise and the Euler update run
+once per step on the block: narrow states (collective TWA, 6 floats) run
+all their chunks in one block, a wide DTWA state one chunk per block (see
+BLOCK_BYTES).  Blocks run on a thread pool.
 
-Each chunk allocates its state, drift, noise and Wiener buffers once and
+Statistics are reduced online to a per-chunk (count, mean, M2) per record,
+from a buffer of the latest records about the size of the state block, so
+no per-trajectory record history is kept.  Each sum runs sequentially over
+a chunk's trajectories in row order, the order in which a (records,
+trajectories) history reduced over its trajectory axis is summed, not
+numpy's pairwise order for contiguous data; so a chunk's statistics have
+the same bits whatever block it ran in.  The per-chunk accumulators are
+merged in chunk order with the pairwise mean/variance combination, so the
+output is bit-identical for any worker count.
+
+A trajectory that turns non-finite is excluded, but that is known only at
+the end of the run; a chunk that had one is integrated again alone, from
+its own stream, with those trajectories left out of the reduction.
+
+Each block allocates its state, drift, noise and Wiener buffers once and
 updates them in place; the model callables write into the buffers they are
-given and keep no state of their own, so chunks can run concurrently.
+given and keep no state of their own, so blocks can run concurrently.
 """
 
 from __future__ import annotations
@@ -25,6 +42,13 @@ from .series import ObservableSeries, time_grid
 from .wiener import CHUNK_SIZE, chunk_stream
 
 MAX_WORKERS_ENV = "CAVITY_SR_MAX_WORKERS"
+KEYS = ("sz", "photon")
+
+# Bytes of state per block; a block holds
+# max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * state_dim)) whole chunks.  Tall
+# blocks amortize the per-call overhead of the model kernels; this size keeps
+# a block's state, drift, noise and Wiener buffers within a core's L2 cache.
+BLOCK_BYTES = 256 * 1024
 
 
 class EnsembleDivergenceError(RuntimeError):
@@ -35,8 +59,8 @@ class EnsembleDivergenceError(RuntimeError):
 class EnsembleModel:
     """Vectorized trajectory model consumed by run_ensemble.
 
-    All callables operate on a C-contiguous (n_traj, d) float64 state block
-    y and must be free of shared mutable state:
+    All callables operate on a C-contiguous (n_traj, state_dim) float64
+    state block y and must be free of shared mutable state:
 
     sample_initial(n, rng) -> new state block;
     drift(y, out) writes the time derivative into out (shaped like y);
@@ -44,10 +68,12 @@ class EnsembleModel:
     shape (n_traj, noise_dim) already scaled to variance dt;
     observables(y) -> {"sz": (n_traj,), "photon": (n_traj,)}.
 
-    The out and dW buffers belong to one chunk: run_ensemble allocates them
-    per chunk and never shares them between chunks.
+    The out and dW buffers belong to one block of chunks: run_ensemble
+    allocates them per block and never shares them between blocks.
+    state_dim sets how many chunks a block holds.
     """
 
+    state_dim: int
     noise_dim: int
     sample_initial: Callable[[int, np.random.Generator], np.ndarray]
     drift: Callable[[np.ndarray, np.ndarray], None]
@@ -55,7 +81,7 @@ class EnsembleModel:
     observables: Callable[[np.ndarray], Dict[str, np.ndarray]]
 
 
-def _worker_count(n_chunks: int) -> int:
+def _worker_count(n_blocks: int) -> int:
     cap = os.environ.get(MAX_WORKERS_ENV)
     if not cap:
         workers = os.cpu_count() or 1
@@ -64,32 +90,76 @@ def _worker_count(n_chunks: int) -> int:
     else:
         raise ConfigurationError(
             [f"{MAX_WORKERS_ENV} must be an integer >= 1, got {cap!r}"])
-    return min(workers, n_chunks)
+    return min(workers, n_blocks)
 
 
-def _run_chunk(model: EnsembleModel, chunk_index: int, n_traj: int,
-               master_seed: int, dt: float, nsteps: int, stride: int):
-    """Integrate one chunk; return per-observable (count, mean, M2) plus
-    the number of divergent trajectories."""
-    rng = chunk_stream(master_seed, chunk_index)
-    y = model.sample_initial(n_traj, rng)
+def _moments(x: np.ndarray, shapes):
+    """Per-chunk mean and M2 over the last axis of x, the trajectories, as
+    two (..., chunks) arrays; sums run sequentially in trajectory order.
+
+    shapes lists the (chunks, trajectories per chunk) groups that tile the
+    last axis.
+    """
+    means, m2s, lo = [], [], 0
+    for chunks, rows in shapes:
+        part = x[..., lo:lo + chunks * rows].reshape(*x.shape[:-1], chunks, rows)
+        lo += chunks * rows
+        mean = np.add.accumulate(part, axis=-1)[..., -1] / rows
+        means.append(mean)
+        m2s.append(np.add.accumulate((part - mean[..., None]) ** 2, axis=-1)[..., -1])
+    return np.concatenate(means, axis=-1), np.concatenate(m2s, axis=-1)
+
+
+def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
+               dt: float, nsteps: int, stride: int, keep=None):
+    """Integrate the consecutive chunks first, first + 1, ... as one state
+    block.
+
+    Returns per-chunk {observable: (count, mean, M2)} and per-chunk masks
+    of the trajectories that stayed finite.  Each chunk samples and draws
+    from its own stream, so every trajectory has the bits it has when its
+    chunk runs alone.  keep (one chunk only) leaves trajectories out of the
+    reduction; without it, a chunk with a non-finite trajectory has
+    non-finite statistics.
+    """
+    rngs = [chunk_stream(master_seed, first + j) for j in range(len(sizes))]
+    y = np.concatenate([model.sample_initial(n, rng) for n, rng in zip(sizes, rngs)])
     drift = np.empty_like(y)
     noise = np.empty_like(y)
-    dW = np.empty((n_traj, model.noise_dim))
+    dW = np.empty((len(y), model.noise_dim))
+    bounds = np.cumsum([0] + sizes)
+    draws = [dW[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if keep is None:
+        full = len(sizes) - (sizes[-1] != CHUNK_SIZE)
+        shapes = [(full, CHUNK_SIZE)] + [(1, sizes[-1])] * (full < len(sizes))
+    else:
+        shapes = [(1, int(keep.sum()))]
     n_rec = nsteps // stride + 1
-    rec = {k: np.empty((n_rec, n_traj)) for k in ("sz", "photon")}
+    mean = np.empty((n_rec, len(KEYS), len(sizes)))
+    m2 = np.empty_like(mean)
+    # the latest records, reduced together once the buffer is full, so a
+    # one-chunk block reduces many records per call
+    depth = min(n_rec, max(1, BLOCK_BYTES // (8 * len(KEYS) * len(y))))
+    rec = np.empty((depth, len(KEYS), len(y)))
+    finite = np.ones(len(y), dtype=bool)
     sqrt_dt = np.sqrt(dt)
-    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(nsteps + 1):
             if step % stride == 0:
+                k = step // stride
+                j = k % depth
                 obs = model.observables(y)
-                rec["sz"][k] = obs["sz"]
-                rec["photon"][k] = obs["photon"]
-                k += 1
+                for i, key in enumerate(KEYS):
+                    rec[j, i] = obs[key]
+                if j == depth - 1 or k == n_rec - 1:
+                    batch = rec[:j + 1]
+                    finite &= np.isfinite(batch).all(axis=(0, 1))
+                    mean[k - j:k + 1], m2[k - j:k + 1] = _moments(
+                        batch if keep is None else batch[..., keep], shapes)
             if step == nsteps:
                 break
-            rng.standard_normal(out=dW)
+            for rng, out in zip(rngs, draws):
+                rng.standard_normal(out=out)
             dW *= sqrt_dt
             # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place: strong
             # order 0.5, weak order 1
@@ -98,22 +168,32 @@ def _run_chunk(model: EnsembleModel, chunk_index: int, n_traj: int,
             drift *= dt
             y += drift
             y += noise
+    finite &= np.isfinite(y).all(axis=1)
+    counts = [rows for chunks, rows in shapes for _ in range(chunks)]
+    stats = [{key: (n, mean[:, i, j], m2[:, i, j]) for i, key in enumerate(KEYS)}
+             for j, n in enumerate(counts)]
+    return stats, [finite[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    alive = np.isfinite(y).all(axis=1)
-    for buf in rec.values():
-        alive &= np.isfinite(buf).all(axis=0)
-    n_div = int(n_traj - alive.sum())
-    stats = {}
-    for key, buf in rec.items():
-        kept = buf[:, alive]
-        n = kept.shape[1]
-        if n == 0:
-            stats[key] = (0, np.zeros(n_rec), np.zeros(n_rec))
+
+def _run_chunks(model: EnsembleModel, first: int, sizes: list, master_seed: int,
+                dt: float, nsteps: int, stride: int):
+    """Per-chunk statistics of one block and its number of divergent
+    trajectories.
+
+    A chunk with a divergent trajectory is integrated again alone, its
+    divergent rows left out of the reduction; that is rare, and cheaper than
+    keeping every trajectory's record history for it.
+    """
+    stats, finite = _run_block(model, first, sizes, master_seed, dt, nsteps, stride)
+    for j, keep in enumerate(finite):
+        if keep.all():
+            continue
+        if keep.any():
+            stats[j] = _run_block(model, first + j, [sizes[j]], master_seed,
+                                  dt, nsteps, stride, keep)[0][0]
         else:
-            mean = kept.mean(axis=1)
-            m2 = ((kept - mean[:, None]) ** 2).sum(axis=1)
-            stats[key] = (n, mean, m2)
-    return stats, n_div
+            stats[j] = {key: (0, mean, m2) for key, (_, mean, m2) in stats[j].items()}
+    return stats, sum(int(len(keep) - keep.sum()) for keep in finite)
 
 
 def _merge(a, b):
@@ -146,19 +226,23 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
     if num.n_traj % CHUNK_SIZE:
         sizes.append(num.n_traj % CHUNK_SIZE)
 
-    def job(c):
-        return _run_chunk(model, c, sizes[c], num.seed, num.dt, nsteps, stride)
+    per_block = max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * model.state_dim))
+    firsts = range(0, len(sizes), per_block)
 
-    workers = _worker_count(len(sizes))
+    def job(first):
+        return _run_chunks(model, first, sizes[first:first + per_block],
+                           num.seed, num.dt, nsteps, stride)
+
+    workers = _worker_count(len(firsts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(len(sizes))))
+            results = list(pool.map(job, firsts))
     else:
-        results = [job(c) for c in range(len(sizes))]
+        results = [job(first) for first in firsts]
 
     n_div = sum(r[1] for r in results)
-    totals = {k: (0, np.zeros(len(times)), np.zeros(len(times))) for k in ("sz", "photon")}
-    for stats, _ in results:
+    totals = {k: (0, np.zeros(len(times)), np.zeros(len(times))) for k in KEYS}
+    for stats in (chunk for block, _ in results for chunk in block):
         for key in totals:
             totals[key] = _merge(totals[key], stats[key])
 

@@ -98,9 +98,12 @@ def write_report(report: ScalingReport, manifest: RunManifest | None, path) -> P
 
 
 def read_report(path) -> ScalingReport:
-    """Load a report JSON; a missing required key or a malformed point
-    raises ValueError naming the file."""
-    raw = json.loads(Path(path).read_text())
+    """Load a report JSON; invalid JSON, a missing required key or a
+    malformed point raises ValueError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"report {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"report {path} is not a JSON object")
     try:

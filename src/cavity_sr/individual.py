@@ -133,8 +133,9 @@ def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> Ensembl
         return {"sz": 0.5 * sz.sum(axis=1),
                 "photon": np.abs(eta) ** 2 - 0.5}
 
-    return EnsembleModel(noise_dim=n + 2, sample_initial=sample_initial,
-                         drift=drift, noise=noise, observables=observables)
+    return EnsembleModel(state_dim=3 * n + 2, noise_dim=n + 2,
+                         sample_initial=sample_initial, drift=drift, noise=noise,
+                         observables=observables)
 
 
 def meanfield_individual_rhs(s: MeanFieldIndividualState,

@@ -86,18 +86,22 @@ class TestSimulate:
 
     # SHA-256 of the seed-0 timeseries.csv (numpy 2.4.6). The seed fixes the
     # bits of the stochastic output, so a new digest means the sampling, the
-    # noise stream or the integrator arithmetic changed.
-    @pytest.mark.parametrize("scheme, solver, n_atoms, g, kappa, digest", [
-        ("collective", "twa", "20", "4", "10",
+    # noise stream or the integrator arithmetic changed. twa-blocks spans 24
+    # chunks: two state blocks, the last chunk partial; its digest predates
+    # the block layout, which must not change the bits.
+    @pytest.mark.parametrize("scheme, solver, n_atoms, g, kappa, m, digest", [
+        ("collective", "twa", "20", "4", "10", "300",
          "41d8cf3d73685b9e36bfa3d0f3c9089f05547d0af32d6ff5715e153ea8c309eb"),
-        ("individual", "dtwa", "6", "2", "20",
+        ("individual", "dtwa", "6", "2", "20", "300",
          "bddfc4c75b6bd51dfed9d9087102ed2b54a3ade4d1ba4072bd7a6b8d32f00db7"),
-    ], ids=["twa", "dtwa"])
+        ("collective", "twa", "20", "4", "10", "6000",
+         "e6b7f22e930bbea7c03a7045a467d51144f5e87b7f4d26966f638ce4b47917e0"),
+    ], ids=["twa", "dtwa", "twa-blocks"])
     def test_seed_zero_output_bits_are_pinned(self, tmp_path, scheme, solver,
-                                              n_atoms, g, kappa, digest):
+                                              n_atoms, g, kappa, m, digest):
         assert run_cli("simulate", "--scheme", scheme, "--solver", solver,
                        "--n-atoms", n_atoms, "--g", g, "--kappa", kappa,
-                       "--trajectories", "300", "--t-max", "0.3", "--seed", "0",
+                       "--trajectories", m, "--t-max", "0.3", "--seed", "0",
                        "--out", str(tmp_path)) == 0
         csv = (tmp_path / "timeseries.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == digest
@@ -198,6 +202,8 @@ class TestFit:
         pytest.param("fit", BAD_POINTS, "points must be objects", id="fit-bad-points"),
         pytest.param("fit", "n,intensity\n10,5\n20\n", "line 3", id="fit-short-csv-row"),
         pytest.param("fit", "", "must be a report JSON or CSV", id="fit-empty-file"),
+        pytest.param("check", '{"zeta": ', "not valid JSON", id="check-truncated"),
+        pytest.param("fit", '{"zeta": ', "not valid JSON", id="fit-truncated"),
     ])
     def test_report_without_required_key_names_file_and_key(self, tmp_path, capsys,
                                                             command, text, fragment):

@@ -6,14 +6,16 @@ import pytest
 from cavity_sr import (ConfigurationError, EnsembleDivergenceError,
                        EnsembleModel, NumericalParams, individual_params,
                        run_ensemble)
-from cavity_sr.engine import MAX_WORKERS_ENV
+from cavity_sr.engine import KEYS, MAX_WORKERS_ENV, _merge
 from cavity_sr.individual import individual_dtwa_model
+from cavity_sr.series import time_grid
+from cavity_sr.wiener import CHUNK_SIZE, chunk_stream
 
 
 def fixed_point_model(y0):
     """Zero drift and noise: every trajectory stays at y0 (a 2-vector)."""
     return EnsembleModel(
-        noise_dim=1,
+        state_dim=2, noise_dim=1,
         sample_initial=lambda n, rng: np.tile(y0, (n, 1)),
         drift=lambda y, out: np.multiply(0.0, y, out=out),
         noise=lambda y, dW, out: np.multiply(0.0, y, out=out),
@@ -39,7 +41,7 @@ def test_step_scalar_decay():
 def ou_model(sigma):
     """dx = -x dt + sigma dW, x0 = 0."""
     return EnsembleModel(
-        noise_dim=1,
+        state_dim=1, noise_dim=1,
         sample_initial=lambda n, rng: np.zeros((n, 1)),
         drift=lambda y, out: np.negative(y, out=out),
         noise=lambda y, dW, out: np.multiply(sigma, dW, out=out),
@@ -62,7 +64,7 @@ def test_ou_variance_matches_closed_form():
 
 def exponential_model():
     return EnsembleModel(
-        noise_dim=0,
+        state_dim=1, noise_dim=0,
         sample_initial=lambda n, rng: np.ones((n, 1)),
         drift=lambda y, out: np.negative(y, out=out),
         noise=lambda y, dW, out: np.multiply(0.0, y, out=out),
@@ -156,7 +158,7 @@ def divergent_model(fraction):
         out[:] = 0.0
         out[:, 0] = np.where(y[:, 1] > 1 - fraction, np.inf, -y[:, 0])
 
-    return EnsembleModel(noise_dim=0, sample_initial=sample, drift=drift,
+    return EnsembleModel(state_dim=2, noise_dim=0, sample_initial=sample, drift=drift,
                          noise=lambda y, dW, out: np.multiply(0.0, y, out=out),
                          observables=lambda y: {"sz": y[:, 0], "photon": y[:, 1]})
 
@@ -176,6 +178,65 @@ def test_total_divergence_is_an_error():
     num = NumericalParams(n_traj=50, seed=1, dt=0.01, t_max=0.1)
     with pytest.raises(EnsembleDivergenceError):
         run_ensemble(divergent_model(1.1), params, num)
+
+
+def history_reduction(model, num):
+    """Reference: each chunk integrated alone with its full (records,
+    trajectories) history, reduced over the trajectories that stayed finite
+    and merged in chunk order."""
+    nsteps, stride, times = time_grid(num.dt, num.t_max)
+    totals = {k: (0, np.zeros(len(times)), np.zeros(len(times))) for k in KEYS}
+    n_div = 0
+    for c, lo in enumerate(range(0, num.n_traj, CHUNK_SIZE)):
+        n = min(CHUNK_SIZE, num.n_traj - lo)
+        rng = chunk_stream(num.seed, c)
+        y = model.sample_initial(n, rng)
+        drift, noise = np.empty_like(y), np.empty_like(y)
+        dW = np.empty((n, model.noise_dim))
+        rec = {k: np.empty((len(times), n)) for k in KEYS}
+        for step in range(nsteps + 1):
+            if step % stride == 0:
+                for k, x in model.observables(y).items():
+                    rec[k][step // stride] = x
+            if step < nsteps:
+                rng.standard_normal(out=dW)
+                dW *= np.sqrt(num.dt)
+                model.drift(y, drift)
+                model.noise(y, dW, noise)
+                drift *= num.dt
+                y += drift
+                y += noise
+        alive = np.isfinite(y).all(axis=1)
+        for buf in rec.values():
+            alive &= np.isfinite(buf).all(axis=0)
+        n_div += n - int(alive.sum())
+        for k, buf in rec.items():
+            kept = buf[:, alive]
+            if kept.shape[1]:
+                mean = kept.mean(axis=1)
+                m2 = ((kept - mean[:, None]) ** 2).sum(axis=1)
+                totals[k] = _merge(totals[k], (kept.shape[1], mean, m2))
+    return totals, n_div
+
+
+@pytest.mark.filterwarnings("ignore:excluded")
+@pytest.mark.parametrize("fraction", [0.0, 0.3])
+def test_online_reduction_matches_history_reduction(fraction):
+    # width 2: 64 chunks per block, so 67 chunks make two blocks and the
+    # last chunk is partial
+    params = individual_params(n_atoms=1)
+    num = NumericalParams(n_traj=17_000, seed=5, dt=0.01, t_max=0.1)
+    model = divergent_model(fraction)
+    series = run_ensemble(model, params, num)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, n_div = history_reduction(model, num)
+    assert series.n_divergent == n_div
+    assert (n_div > 0) == (fraction > 0)
+    for key, mean, sem in (("sz", series.sz_mean, series.sz_sem),
+                           ("photon", series.photon_mean, series.photon_sem)):
+        n, ref_mean, m2 = totals[key]
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(sem, np.sqrt(m2 / (n - 1) / n))
 
 
 def test_dtwa_free_decay_matches_exact_solution():

@@ -10,7 +10,7 @@ def wiener_model(noise_dim):
         out[...] = dW
 
     return EnsembleModel(
-        noise_dim=noise_dim,
+        state_dim=noise_dim, noise_dim=noise_dim,
         sample_initial=lambda n, rng: np.zeros((n, noise_dim)),
         drift=lambda y, out: np.multiply(0.0, y, out=out),
         noise=noise,
@@ -26,7 +26,7 @@ def test_zero_count_gives_empty_block():
         out[...] = 0.0
 
     model = EnsembleModel(
-        noise_dim=0, sample_initial=lambda n, rng: np.ones((n, 1)),
+        state_dim=1, noise_dim=0, sample_initial=lambda n, rng: np.ones((n, 1)),
         drift=lambda y, out: np.multiply(0.0, y, out=out), noise=noise,
         observables=lambda y: {"sz": y[:, 0], "photon": y[:, 0]})
     num = NumericalParams(n_traj=3, seed=0, dt=0.1, t_max=0.3)
