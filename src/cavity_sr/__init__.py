@@ -1,7 +1,8 @@
 """Cavity-controlled superradiance toolkit.
 
-Stochastic phase-space solvers (collective TWA, individual DTWA), mean-field
-equations, an exact small-N Lindblad oracle, and a power-law scaling harness
+Stochastic phase-space solvers (collective TWA, individual DTWA), free-space
+mean-field references (the one equation per scheme that full inversion
+leaves), an exact small-N Lindblad oracle, and a power-law scaling harness
 for the emission strength versus atom number.
 """
 
@@ -13,10 +14,8 @@ from .params import (ConfigurationError, NumericalParams, SystemParams,
 from .series import ObservableSeries, time_grid
 from .wiener import CHUNK_SIZE
 from .engine import EnsembleDivergenceError, EnsembleModel, run_ensemble
-from .collective import (collective_twa_model, meanfield_collective_rhs,
-                         solve_meanfield_collective, MeanFieldCollectiveState)
-from .individual import (individual_dtwa_model, meanfield_individual_rhs,
-                         solve_meanfield_individual, MeanFieldIndividualState)
+from .collective import collective_twa_model, solve_meanfield_collective
+from .individual import individual_dtwa_model, solve_meanfield_individual
 from .oracle import (BasisDescriptor, Liouvillian, build_liouvillian,
                      build_liouvillian_collective, build_liouvillian_individual,
                      evolve_density_matrix, solve_oracle)

@@ -1,6 +1,6 @@
 """Collective emission scheme: TWA stochastic equations in the Schwinger
 representation, Wigner-consistent initial sampling, symmetric-ordering
-observables, and the companion mean-field equations.
+observables, and the companion mean-field cascade.
 
 The collective spin is mapped onto two bosonic modes, S+ = a^dag b,
 S- = a b^dag, S_z = (a^dag a - b^dag b)/2, with phase-space amplitudes
@@ -18,15 +18,20 @@ with negative noise radicands clamped to zero (the diffusion matrix is not
 positive semidefinite near depletion; clamping is the standard regularization
 and only touches late-time tails).
 
-The mean-field solver is the free-space reference: from full inversion
-<S+> = <c> = 0 holds exactly, so g, kappa and Delta never enter and its I(N)
-and zeta are those without a cavity (zeta 1.9788 over N = 50, 100, 200 at
-g = 0 and at g = 10, kappa = 100).  It cannot show the cavity's effect.
+The mean-field solver is the free-space reference.  The mean-field equations
+for <S+> and <c> are linear and homogeneous in the pair, so from full
+inversion, where both vanish, <S+> = <c> = 0 at every t and the cavity never
+acts.  What is left is the Riccati equation of the Dicke cascade (Gross &
+Haroche, Phys. Rep. 93, 301 (1982)), with j = N/2:
+
+  dS_z/dt = 2 Gamma (S_z - j - 1)(S_z + j),    S_z(0) = j.
+
+So g, kappa and Delta never enter; its I(N) and zeta are those without a
+cavity (zeta 1.9788 over N = 50, 100, 200), and it cannot show the cavity's
+effect.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -36,13 +41,6 @@ from .params import NumericalParams, SystemParams, SCHEME_COLLECTIVE
 from .series import ObservableSeries, time_grid
 
 NOISE_DIM = 6
-
-
-@dataclass
-class MeanFieldCollectiveState:
-    sz: float
-    splus: complex
-    c: complex
 
 
 def _require_collective(params: SystemParams):
@@ -118,43 +116,18 @@ def collective_twa_model(params: SystemParams, num: NumericalParams) -> Ensemble
                          observables=observables)
 
 
-def meanfield_collective_rhs(s: MeanFieldCollectiveState, params: SystemParams,
-                             n_atoms: int) -> MeanFieldCollectiveState:
-    """Mean-field equations for (<S_z>, <S+>, <c>), with <S-> = <S+>*.
-
-    d<S_z> = -i g <c><S+> + i g <c>*<S-> - 2 Gamma [N/2(N/2+1) - <S_z>^2 + <S_z>]
-    d<S+>  = -2 i g <c>*<S_z> - Gamma <S+>
-    d<c>   = -i Delta <c> - i g <S-> - kappa <c>
-    """
-    _require_collective(params)
-    g, gam, kap = params.g, params.gamma_col, params.kappa
-    j = 0.5 * n_atoms
-    sminus = np.conj(s.splus)
-    d_sz = float(np.real(-1j * g * s.c * s.splus + 1j * g * np.conj(s.c) * sminus)) \
-        - 2.0 * gam * (j * (j + 1.0) - s.sz ** 2 + s.sz)
-    d_sp = -2j * g * np.conj(s.c) * s.sz - gam * s.splus
-    d_c = -1j * params.detuning * s.c - 1j * g * sminus - kap * s.c
-    return MeanFieldCollectiveState(d_sz, d_sp, d_c)
-
-
 def solve_meanfield_collective(params: SystemParams, num: NumericalParams) -> ObservableSeries:
-    """Integrate the mean-field equations from full inversion on the grid the
-    stochastic runner would use (for pointwise comparisons)."""
+    """Integrate the cascade equation from S_z = N/2 on the grid the stochastic
+    runner would use (for pointwise comparisons); the cavity stays empty."""
     _require_collective(params)
     _, _, times = time_grid(num.dt, num.t_max)
-
-    def rhs(t, y):
-        s = MeanFieldCollectiveState(y[0], y[1] + 1j * y[2], y[3] + 1j * y[4])
-        d = meanfield_collective_rhs(s, params, params.n_atoms)
-        return [d.sz, d.splus.real, d.splus.imag, d.c.real, d.c.imag]
-
-    y0 = [0.5 * params.n_atoms, 0.0, 0.0, 0.0, 0.0]
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times,
+    gam, j = params.gamma_col, 0.5 * params.n_atoms
+    sol = solve_ivp(lambda t, sz: 2.0 * gam * (sz - j - 1.0) * (sz + j),
+                    (times[0], times[-1]), [j], t_eval=times,
                     method="DOP853", rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"mean-field integration failed: {sol.message}")
-    photon = sol.y[3] ** 2 + sol.y[4] ** 2
     zeros = np.zeros_like(times)
     return ObservableSeries(times=times, sz_mean=sol.y[0], sz_sem=zeros,
-                            photon_mean=photon, photon_sem=zeros,
+                            photon_mean=zeros, photon_sem=zeros,
                             n_atoms=params.n_atoms)

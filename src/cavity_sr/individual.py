@@ -1,5 +1,5 @@
 """Individual emission scheme: DTWA spin trajectories with a hybrid TWA
-cavity, discrete initial sampling, and the companion mean-field equations.
+cavity, discrete initial sampling, and the companion mean-field decay.
 
 Each atom carries a classical spin vector (s_x, s_y, s_z); the cavity
 amplitude eta is treated exactly as in the collective TWA (vacuum-sampled
@@ -25,15 +25,18 @@ Wiener increment dW_i, which approximately preserves the spin length:
   delta s_y = +sqrt(2 gamma) s_x dW_i
   delta s_z = +sqrt(2 gamma) (s_z + 1) dW_i
 
-The mean-field solver is the free-space reference: from full inversion
-<sigma+> = <c> = 0 holds exactly, so g, kappa and Delta never enter and its
-I(N) and zeta are those of independent decay.  It cannot show the cavity's
-effect.
+The mean-field solver is the free-space reference.  The mean-field equations
+for <sigma_+^i> and <c> are linear and homogeneous in them, so from full
+inversion, where all vanish, they stay zero and the cavity never acts.  Every
+atom then decays alone, with S_z = (N/2) sigma_z:
+
+  d sigma_z/dt = -2 gamma (1 + sigma_z),    sigma_z(0) = 1.
+
+So g, kappa and Delta never enter; its I(N) and zeta are those of independent
+decay, and it cannot show the cavity's effect.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,15 +44,6 @@ from scipy.integrate import solve_ivp
 from .engine import EnsembleModel
 from .params import NumericalParams, SystemParams, SCHEME_INDIVIDUAL
 from .series import ObservableSeries, time_grid
-
-
-@dataclass
-class MeanFieldIndividualState:
-    """Per-atom <sigma_z> (real) and <sigma_+> (complex), plus <c>."""
-
-    sigma_z: np.ndarray
-    sigma_plus: np.ndarray
-    c: complex
 
 
 def _require_individual(params: SystemParams):
@@ -138,50 +132,18 @@ def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> Ensembl
                          observables=observables)
 
 
-def meanfield_individual_rhs(s: MeanFieldIndividualState,
-                             params: SystemParams) -> MeanFieldIndividualState:
-    """Mean-field equations with the cavity driven by the sum over atoms:
-
-    d<sigma_z^i> = -2 i g <c><sigma_+^i> + 2 i g <c>*<sigma_-^i> - 2 gamma (1 + <sigma_z^i>)
-    d<sigma_+^i> = -i g <c>*<sigma_z^i> - gamma <sigma_+^i>
-    d<c>         = -i Delta <c> - i g sum_i <sigma_-^i> - kappa <c>
-    """
+def solve_meanfield_individual(params: SystemParams, num: NumericalParams) -> ObservableSeries:
+    """Integrate the per-atom decay equation from sigma_z = 1 on the grid the
+    stochastic runner would use; S_z = (N/2) sigma_z and the cavity stays empty."""
     _require_individual(params)
-    g, gam, kap = params.g, params.gamma_ind, params.kappa
-    sminus = np.conj(s.sigma_plus)
-    d_sz = np.real(-2j * g * s.c * s.sigma_plus + 2j * g * np.conj(s.c) * sminus) \
-        - 2.0 * gam * (1.0 + s.sigma_z)
-    d_sp = -1j * g * np.conj(s.c) * s.sigma_z - gam * s.sigma_plus
-    d_c = -1j * params.detuning * s.c - 1j * g * sminus.sum() - kap * s.c
-    return MeanFieldIndividualState(d_sz, d_sp, complex(d_c))
-
-
-def solve_meanfield_individual(params: SystemParams, num: NumericalParams,
-                               initial: MeanFieldIndividualState | None = None
-                               ) -> ObservableSeries:
-    """Integrate the mean-field equations (all atoms excited, cavity empty
-    unless an explicit initial state is given)."""
-    _require_individual(params)
-    n = params.n_atoms
     _, _, times = time_grid(num.dt, num.t_max)
-    if initial is None:
-        initial = MeanFieldIndividualState(np.ones(n), np.zeros(n, dtype=complex), 0j)
-
-    def rhs(t, y):
-        s = MeanFieldIndividualState(
-            y[:n], y[n:2 * n] + 1j * y[2 * n:3 * n], y[3 * n] + 1j * y[3 * n + 1])
-        d = meanfield_individual_rhs(s, params)
-        return np.concatenate([d.sigma_z, d.sigma_plus.real, d.sigma_plus.imag,
-                               [d.c.real, d.c.imag]])
-
-    y0 = np.concatenate([initial.sigma_z, initial.sigma_plus.real,
-                         initial.sigma_plus.imag, [initial.c.real, initial.c.imag]])
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times,
+    gam = params.gamma_ind
+    sol = solve_ivp(lambda t, sigma_z: -2.0 * gam * (1.0 + sigma_z),
+                    (times[0], times[-1]), [1.0], t_eval=times,
                     method="DOP853", rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"mean-field integration failed: {sol.message}")
-    sz = 0.5 * sol.y[:n].sum(axis=0)
-    photon = sol.y[3 * n] ** 2 + sol.y[3 * n + 1] ** 2
     zeros = np.zeros_like(times)
-    return ObservableSeries(times=times, sz_mean=sz, sz_sem=zeros,
-                            photon_mean=photon, photon_sem=zeros, n_atoms=n)
+    return ObservableSeries(times=times, sz_mean=0.5 * params.n_atoms * sol.y[0],
+                            sz_sem=zeros, photon_mean=zeros, photon_sem=zeros,
+                            n_atoms=params.n_atoms)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cavity_sr import __version__
 from cavity_sr.cli import cli_dispatch
 from cavity_sr.fileio import (read_report, read_timeseries, write_timeseries)
 from cavity_sr.series import ObservableSeries
@@ -159,6 +164,16 @@ class TestValidationAndExitCodes:
         assert code == 1
         assert calls == []
         assert message in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "cavity_sr", "--version"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert __version__ in done.stdout
 
 
 class TestFit:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cavity_sr import (MeanFieldCollectiveState, NumericalParams,
-                       collective_params, collective_twa_model,
-                       individual_params, meanfield_collective_rhs,
+from cavity_sr import (NumericalParams, collective_params,
+                       collective_twa_model, individual_params,
                        solve_meanfield_collective, solve_meanfield_individual,
                        validate_params)
 from cavity_sr.params import SystemParams
@@ -148,26 +147,17 @@ class TestObservables:
 
 
 class TestMeanField:
-    def test_full_inversion_decays_at_independent_rate(self):
-        p = cparams(gamma_col=1.0, g=3.0, kappa=1.0)
-        n = 10
-        d = meanfield_collective_rhs(MeanFieldCollectiveState(n / 2, 0j, 0j), p, n)
-        assert d.sz == pytest.approx(-2.0 * n)
-        assert d.splus == 0 and d.c == 0
-
-    def test_ground_state_is_dark(self):
-        p = cparams(gamma_col=1.0, g=3.0, kappa=1.0)
-        d = meanfield_collective_rhs(MeanFieldCollectiveState(-5.0, 0j, 0j), p, 10)
-        assert d.sz == pytest.approx(0.0)
-
-    def test_generic_substitution(self):
-        # frozen CAS values: N=6, Sz=5/4, S+=1+i/2, c=-1/3+i/5
-        p = cparams(detuning=3.0, g=1.5, gamma_col=0.75, kappa=0.4)
-        s = MeanFieldCollectiveState(1.25, 1 + 0.5j, -1 / 3 + 0.2j)
-        d = meanfield_collective_rhs(s, p, 6)
-        assert d.sz == pytest.approx(-17.43125)
-        assert d.splus == pytest.approx(-1.5 + 0.875j)
-        assert d.c == pytest.approx(-0.016666666666666666 - 0.58j)
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    def test_solver_matches_cascade_closed_form(self, n):
+        # Riccati solution of dS_z/dt = 2 Gamma (S_z - j - 1)(S_z + j) from
+        # S_z = j: S_z = j (2 (j+1) u - 1) / (2 j u + 1), u = exp(-2 Gamma (2j+1) t)
+        gam, j = 0.5, 0.5 * n
+        params, num = validate_params(collective_params(n_atoms=n, gamma=gam),
+                                      NumericalParams(t_max=2.0, dt=1e-3))
+        series = solve_meanfield_collective(params, num)
+        u = np.exp(-2 * gam * (2 * j + 1) * series.times)
+        exact = j * (2 * (j + 1) * u - 1) / (2 * j * u + 1)
+        np.testing.assert_allclose(series.sz_mean, exact, rtol=0, atol=1e-8 * j)
 
     def test_meanfield_solver_reaches_ground_state(self):
         params, num = validate_params(

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cavity_sr import (MeanFieldIndividualState, NumericalParams,
-                       individual_dtwa_model, individual_params,
-                       meanfield_individual_rhs, run_ensemble,
+from cavity_sr import (NumericalParams, individual_dtwa_model,
+                       individual_params, run_ensemble,
                        solve_meanfield_individual, validate_params)
 from cavity_sr.params import SystemParams
 
@@ -186,33 +185,14 @@ class TestObservables:
 
 
 class TestMeanField:
-    def test_dark_state(self):
-        s = MeanFieldIndividualState(np.array([-1.0]), np.zeros(1, complex), 0j)
-        d = meanfield_individual_rhs(s, iparams(g=2.0, gamma_ind=1.0, kappa=1.0))
-        assert np.all(d.sigma_z == 0)
-        assert np.all(d.sigma_plus == 0)
-        assert d.c == 0
-
-    def test_excited_state_decay(self):
-        s = MeanFieldIndividualState(np.array([1.0]), np.zeros(1, complex), 0j)
-        d = meanfield_individual_rhs(s, iparams(gamma_ind=0.9))
-        assert d.sigma_z[0] == pytest.approx(-3.6)
-
-    def test_generic_substitution_frozen_cas_values(self):
-        p = iparams(detuning=3.0, g=1.5, gamma_ind=2 / 3, kappa=0.4)
-        s = MeanFieldIndividualState(np.array([-0.2]),
-                                     np.array([1 / 3 - 0.25j]), 0.5 + 1j / 6)
-        d = meanfield_individual_rhs(s, p)
-        assert d.sigma_z[0] == pytest.approx(-1.4833333333333334)
-        assert d.sigma_plus[0] == pytest.approx(-0.17222222222222222 + 0.31666666666666665j)
-        assert d.c == pytest.approx(0.675 - 2.066666666666667j)
-
     def test_solver_free_decay(self):
-        params, num = validate_params(individual_params(n_atoms=7),
-                                      NumericalParams(t_max=2.0, dt=1e-3))
-        series = solve_meanfield_individual(params, num)
-        exact = 3.5 * (2 * np.exp(-2 * series.times) - 1)
-        np.testing.assert_allclose(series.sz_mean, exact, atol=1e-8)
+        # gamma = 0.5 fails if the rate loses its gamma factor
+        for gamma in (1.0, 0.5):
+            params, num = validate_params(individual_params(n_atoms=7, gamma=gamma),
+                                          NumericalParams(t_max=2.0, dt=1e-3))
+            series = solve_meanfield_individual(params, num)
+            exact = 3.5 * (2 * np.exp(-2 * gamma * series.times) - 1)
+            np.testing.assert_allclose(series.sz_mean, exact, atol=1e-8)
 
 
 class TestSpinLengthConservation:
@@ -245,30 +225,6 @@ class TestSpinLengthConservation:
 
 
 class TestAgainstOracle:
-    def test_meanfield_reproduces_coherently_seeded_rabi_flopping(self):
-        # ground atom + strong coherent cavity: population flops at ~ 2 g |eta|;
-        # checks the coupling sign/magnitude chain against the exact
-        # Jaynes-Cummings collapse, <sigma_z>(t) = -sum_n p_n cos(2 g sqrt(n) t)
-        # with Poisson weights p_n at mean photon number |eta|^2
-        from scipy.stats import poisson
-        g, amp = 1.0, 3.0
-        p = iparams(g=g)
-        t = np.linspace(0.0, 0.5 * np.pi / (g * amp), 60)
-        n = np.arange(100)
-        sz_exact = -poisson.pmf(n, amp ** 2) @ np.cos(2 * g * np.sqrt(n)[:, None] * t)
-
-        num = NumericalParams(dt=t[1] - t[0], t_max=t[-1])
-        initial = MeanFieldIndividualState(np.array([-1.0]),
-                                           np.zeros(1, complex), amp + 0j)
-        mf = solve_meanfield_individual(p, num, initial=initial)
-        sz_mf = np.interp(t, mf.times, 2 * mf.sz_mean)
-        # finite-photon-number corrections leave a ~0.1 residual; sign or
-        # factor errors in the coupling produce O(1) disagreement
-        assert np.max(np.abs(sz_mf - sz_exact)) < 0.2
-        # the atom must actually absorb: sigma_z rises from -1 toward +1
-        assert sz_exact[-1] > 0.7
-        assert 2 * mf.sz_mean[-1] > 0.9
-
     def test_dtwa_tracks_exact_dynamics_small_lattice(self):
         from cavity_sr.oracle import solve_oracle
         params, num = validate_params(
