@@ -24,7 +24,10 @@ its own stream, with those trajectories left out of the reduction.
 
 Each block allocates its state, drift, noise and Wiener buffers once and
 updates them in place; the model callables write into the buffers they are
-given and keep no state of their own, so blocks can run concurrently.
+given and keep no state of their own, so blocks can run concurrently.  The
+state, drift and noise buffers keep the memory order of the model's
+sample_initial blocks (row-major for the collective TWA, column-major for
+the DTWA); the Wiener buffer is row-major, one row per trajectory.
 """
 
 from __future__ import annotations
@@ -59,13 +62,15 @@ class EnsembleDivergenceError(RuntimeError):
 class EnsembleModel:
     """Vectorized trajectory model consumed by run_ensemble.
 
-    All callables operate on a C-contiguous (n_traj, state_dim) float64
-    state block y and must be free of shared mutable state:
+    All callables operate on a (n_traj, state_dim) float64 state block y
+    and must be free of shared mutable state:
 
-    sample_initial(n, rng) -> new state block;
+    sample_initial(n, rng) -> new state block, contiguous in the memory
+    order the model's kernels prefer; the block run_ensemble steps, and its
+    drift and noise buffers, have that order;
     drift(y, out) writes the time derivative into out (shaped like y);
-    noise(y, dW, out) writes the stochastic increment into out, for dW of
-    shape (n_traj, noise_dim) already scaled to variance dt;
+    noise(y, dW, out) writes the stochastic increment into out, for a
+    row-major dW of shape (n_traj, noise_dim) already scaled to variance dt;
     observables(y) -> {"sz": (n_traj,), "photon": (n_traj,)}.
 
     The out and dW buffers belong to one block of chunks: run_ensemble

@@ -25,6 +25,13 @@ Wiener increment dW_i, which approximately preserves the spin length:
   delta s_y = +sqrt(2 gamma) s_x dW_i
   delta s_z = +sqrt(2 gamma) (s_z + 1) dW_i
 
+The state block is column-major, so each spin column is one contiguous run
+of trajectories, and drift and noise are written into it in place.  Each
+product is rounded in the order the seed-0 digests pin, e.g.
+((-2 g) Im eta) s_z and (-sqrt(2 gamma) s_y) dW_i.  The atom sums (the
+cavity drive and S_z) run over a row-major copy, in numpy's pairwise order,
+so the kernels give the same bits for a block of either memory order.
+
 The mean-field solver is the free-space reference.  The mean-field equations
 for <sigma_+^i> and <c> are linear and homogeneous in them, so from full
 inversion, where all vanish, they stay zero and the cavity never acts.  Every
@@ -51,29 +58,6 @@ def _require_individual(params: SystemParams):
         raise ValueError("individual operations need params with gamma_ind set")
 
 
-def _drift(sx, sy, sz, eta, params: SystemParams):
-    """Drift for spin blocks (..., N) and cavity amplitude (...)."""
-    g, gam, kap = params.g, params.gamma_ind, params.kappa
-    re = np.real(eta)[..., None]
-    im = np.imag(eta)[..., None]
-    dsx = -2.0 * g * im * sz - gam * sx
-    dsy = -2.0 * g * re * sz - gam * sy
-    dsz = 2.0 * g * (sy * re + sx * im) - 2.0 * gam * (sz + 1.0)
-    drive = sx.sum(axis=-1) - 1j * sy.sum(axis=-1)
-    d_eta = -1j * params.detuning * eta - kap * eta - 0.5j * g * drive
-    return dsx, dsy, dsz, d_eta
-
-
-def _noise(sx, sy, sz, dW_atoms, dW_cavity, params: SystemParams):
-    """Noise increments; dW_atoms (..., N) and dW_cavity (..., 2), variance dt."""
-    amp = np.sqrt(2.0 * params.gamma_ind)
-    nx = -amp * sy * dW_atoms
-    ny = amp * sx * dW_atoms
-    nz = amp * (sz + 1.0) * dW_atoms
-    n_eta = np.sqrt(params.kappa / 2.0) * (dW_cavity[..., 0] + 1j * dW_cavity[..., 1])
-    return nx, ny, nz, n_eta
-
-
 def _sample_spins(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
     """(n_traj, N, 3) block: (s_x, s_y, s_z) in {(+-1, +-1, 1)}, equal weight."""
     spins = np.empty((n_traj, n_atoms, 3))
@@ -84,27 +68,26 @@ def _sample_spins(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.nda
 
 
 def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> EnsembleModel:
-    """Vectorized DTWA model over a (n_traj, 3N + 2) real state block:
-    columns [s_x (N), s_y (N), s_z (N), Re eta, Im eta].
+    """Vectorized DTWA model over a column-major (n_traj, 3N + 2) real state
+    block: columns [s_x (N), s_y (N), s_z (N), Re eta, Im eta].
 
     The spin columns of the initial block are discrete Wigner samples of the
     fully excited lattice; the cavity starts in the vacuum Wigner
     distribution (<|eta|^2> = 1/2)."""
     _require_individual(params)
     n = params.n_atoms
+    g, gam, kap, det = params.g, params.gamma_ind, params.kappa, params.detuning
+    amp = np.sqrt(2.0 * gam)
 
-    def split(y):
-        return (y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n],
-                y[:, 3 * n] + 1j * y[:, 3 * n + 1])
-
-    def targets(out):
-        """Writable views of out, matching the parts split() returns."""
-        return (out[:, :n], out[:, n:2 * n], out[:, 2 * n:3 * n],
-                out[:, 3 * n:].view(complex)[:, 0])
+    def atom_sums(y, lo, k):
+        """(n_traj, k) sums over the atoms of the k spin components from
+        column lo on, in numpy's pairwise order for contiguous rows."""
+        part = np.ascontiguousarray(y[:, lo:lo + k * n])
+        return part.reshape(-1, k, n).sum(axis=-1)
 
     def sample_initial(m, rng):
         spins = _sample_spins(m, n, rng)
-        y = np.empty((m, 3 * n + 2))
+        y = np.empty((m, 3 * n + 2), order="F")
         y[:, :n] = spins[:, :, 0]
         y[:, n:2 * n] = spins[:, :, 1]
         y[:, 2 * n:3 * n] = spins[:, :, 2]
@@ -112,19 +95,46 @@ def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> Ensembl
         return y
 
     def drift(y, out):
-        sx, sy, sz, eta = split(y)
-        ox, oy, oz, oh = targets(out)
-        ox[...], oy[...], oz[...], oh[...] = _drift(sx, sy, sz, eta, params)
+        sx, sy, sz = y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n]
+        re, im = y[:, 3 * n:3 * n + 1], y[:, 3 * n + 1:]
+        ox, oy, oz = out[:, :n], out[:, n:2 * n], out[:, 2 * n:3 * n]
+        # gamma [s_x | s_y]: one contiguous run in column-major order
+        damp = gam * y[:, :2 * n]
+        np.multiply(-2.0 * g * im, sz, out=ox)
+        ox -= damp[:, :n]
+        np.multiply(-2.0 * g * re, sz, out=oy)
+        oy -= damp[:, n:]
+        tmp = damp[:, :n]       # free once ox is written
+        np.multiply(sy, re, out=oz)
+        oz += np.multiply(sx, im, out=tmp)
+        oz *= 2.0 * g
+        np.add(sz, 1.0, out=tmp)
+        tmp *= 2.0 * gam
+        oz -= tmp
+        sums = atom_sums(y, 0, 2)
+        drive = sums[:, 0] - 1j * sums[:, 1]
+        eta = y[:, 3 * n] + 1j * y[:, 3 * n + 1]
+        d_eta = -1j * det * eta - kap * eta - 0.5j * g * drive
+        out[:, 3 * n] = d_eta.real
+        out[:, 3 * n + 1] = d_eta.imag
 
     def noise(y, dW, out):
-        sx, sy, sz, _ = split(y)
-        ox, oy, oz, oh = targets(out)
-        ox[...], oy[...], oz[...], oh[...] = \
-            _noise(sx, sy, sz, dW[:, :n], dW[:, n:], params)
+        dw = np.asfortranarray(dW[:, :n])
+        ox, oy, oz = out[:, :n], out[:, n:2 * n], out[:, 2 * n:3 * n]
+        np.multiply(-amp, y[:, n:2 * n], out=ox)
+        ox *= dw
+        np.multiply(amp, y[:, :n], out=oy)
+        oy *= dw
+        np.add(y[:, 2 * n:3 * n], 1.0, out=oz)
+        oz *= amp
+        oz *= dw
+        n_eta = np.sqrt(kap / 2.0) * (dW[:, n] + 1j * dW[:, n + 1])
+        out[:, 3 * n] = n_eta.real
+        out[:, 3 * n + 1] = n_eta.imag
 
     def observables(y):
-        _, _, sz, eta = split(y)
-        return {"sz": 0.5 * sz.sum(axis=1),
+        eta = y[:, 3 * n] + 1j * y[:, 3 * n + 1]
+        return {"sz": 0.5 * atom_sums(y, 2 * n, 1)[:, 0],
                 "photon": np.abs(eta) ** 2 - 0.5}
 
     return EnsembleModel(state_dim=3 * n + 2, noise_dim=n + 2,

@@ -93,7 +93,10 @@ class TestSimulate:
     # bits of the stochastic output, so a new digest means the sampling, the
     # noise stream or the integrator arithmetic changed. twa-blocks spans 24
     # chunks: two state blocks, the last chunk partial; its digest predates
-    # the block layout, which must not change the bits.
+    # the block layout, which must not change the bits.  dtwa-lattice puts a
+    # full and a partial chunk in one block, and its N = 20 atom sums run in
+    # numpy's pairwise order (below 8 terms, as at N = 6, numpy adds
+    # sequentially); its digest predates the column-major DTWA block.
     @pytest.mark.parametrize("scheme, solver, n_atoms, g, kappa, m, digest", [
         ("collective", "twa", "20", "4", "10", "300",
          "41d8cf3d73685b9e36bfa3d0f3c9089f05547d0af32d6ff5715e153ea8c309eb"),
@@ -101,7 +104,9 @@ class TestSimulate:
          "bddfc4c75b6bd51dfed9d9087102ed2b54a3ade4d1ba4072bd7a6b8d32f00db7"),
         ("collective", "twa", "20", "4", "10", "6000",
          "e6b7f22e930bbea7c03a7045a467d51144f5e87b7f4d26966f638ce4b47917e0"),
-    ], ids=["twa", "dtwa", "twa-blocks"])
+        ("individual", "dtwa", "20", "2", "20", "300",
+         "2d7186229d64a6e2f3fa7e7c7efe9d3f49f5b25021157ac3a95b08e1ff5789d3"),
+    ], ids=["twa", "dtwa", "twa-blocks", "dtwa-lattice"])
     def test_seed_zero_output_bits_are_pinned(self, tmp_path, scheme, solver,
                                               n_atoms, g, kappa, m, digest):
         assert run_cli("simulate", "--scheme", scheme, "--solver", solver,

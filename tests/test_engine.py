@@ -147,6 +147,42 @@ def test_sem_halves_when_trajectories_quadruple():
     assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
 
+def ordered_model(order, seen):
+    """A damped rotation with additive noise whose sample_initial returns
+    blocks in the given memory order; drift and noise append
+    (y.flags.f_contiguous, out.flags.f_contiguous) to seen."""
+    def sample(n, rng):
+        return np.asarray(rng.standard_normal((n, 2)), order=order)
+
+    def drift(y, out):
+        seen.append((y.flags.f_contiguous, out.flags.f_contiguous))
+        np.multiply(-1.0, y[:, 1], out=out[:, 0])
+        np.multiply(0.5, y[:, 1], out=out[:, 1])
+        np.subtract(y[:, 0], out[:, 1], out=out[:, 1])
+
+    def noise(y, dW, out):
+        seen.append((y.flags.f_contiguous, out.flags.f_contiguous))
+        np.multiply(0.3, dW, out=out)
+
+    return EnsembleModel(state_dim=2, noise_dim=2, sample_initial=sample,
+                         drift=drift, noise=noise,
+                         observables=lambda y: {"sz": y[:, 0], "photon": y[:, 1] ** 2})
+
+
+def test_engine_keeps_the_model_layout():
+    # width 2: one block of three chunks, the last one partial
+    params = individual_params(n_atoms=1)
+    num = NumericalParams(n_traj=600, seed=9, dt=0.01, t_max=0.2)
+    runs = {}
+    for order in ("F", "C"):
+        seen = []
+        runs[order] = run_ensemble(ordered_model(order, seen), params, num)
+        assert seen and set(seen) == {(order == "F", order == "F")}
+    for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
+        np.testing.assert_array_equal(getattr(runs["F"], field).view(np.uint64),
+                                      getattr(runs["C"], field).view(np.uint64))
+
+
 def divergent_model(fraction):
     """Blows up trajectories whose initial marker exceeds 1 - fraction; the
     others decay from a random sz, so their per-chunk sums depend on order."""

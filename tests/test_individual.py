@@ -184,6 +184,78 @@ class TestObservables:
         assert a == pytest.approx(b)
 
 
+def row_major_kernels(p, y, dW):
+    """Drift, noise and sz of the DTWA equations evaluated on whole row-major
+    blocks, each product in the association of the module docstring."""
+    n = p.n_atoms
+    y = np.ascontiguousarray(y)
+    sx, sy, sz = y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n]
+    eta = y[:, 3 * n] + 1j * y[:, 3 * n + 1]
+    re, im = eta.real[:, None], eta.imag[:, None]
+    g, gam, amp = p.g, p.gamma_ind, np.sqrt(2.0 * p.gamma_ind)
+    d_eta = (-1j * p.detuning * eta - p.kappa * eta
+             - 0.5j * g * (sx.sum(axis=-1) - 1j * sy.sum(axis=-1)))
+    n_eta = np.sqrt(p.kappa / 2.0) * (dW[:, n] + 1j * dW[:, n + 1])
+    drift = np.column_stack([-2.0 * g * im * sz - gam * sx,
+                             -2.0 * g * re * sz - gam * sy,
+                             2.0 * g * (sy * re + sx * im) - 2.0 * gam * (sz + 1.0),
+                             d_eta.real, d_eta.imag])
+    dw = dW[:, :n]
+    noise = np.column_stack([-amp * sy * dw, amp * sx * dw, amp * (sz + 1.0) * dw,
+                             n_eta.real, n_eta.imag])
+    return drift, noise, 0.5 * sz.sum(axis=1)
+
+
+class TestMemoryOrder:
+    # couplings that are not powers of two, so a reassociated product
+    # rounds differently
+    PARAMS = dict(g=1.5, gamma_ind=0.7, kappa=3.0, detuning=0.7)
+
+    @classmethod
+    def stepped_block(cls, n_atoms):
+        """A sampled (64, 3N + 2) block after 20 Euler-Maruyama steps, and
+        the Wiener increments of one more step."""
+        p = iparams(n_atoms=n_atoms, **cls.PARAMS)
+        model = model_for(p, n_atoms)
+        rng = np.random.default_rng(6)
+        y = model.sample_initial(64, rng)
+        d, z = np.empty_like(y), np.empty_like(y)
+        for _ in range(21):
+            dW = 0.03 * rng.standard_normal((64, model.noise_dim))
+            model.drift(y, d)
+            model.noise(y, dW, z)
+            y += d * 1e-3 + z
+        return model, y, dW
+
+    def test_sample_initial_is_column_major(self):
+        y = model_for(iparams(n_atoms=3), 3).sample_initial(10, np.random.default_rng(0))
+        assert y.flags.f_contiguous and not y.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_atoms", [3, 50])
+    def test_kernels_give_the_same_bits_in_either_order(self, n_atoms):
+        model, y, dW = self.stepped_block(n_atoms)
+        results = []
+        for block in (np.ascontiguousarray(y), np.asfortranarray(y)):
+            d, z = np.empty_like(block), np.empty_like(block)
+            model.drift(block, d)
+            model.noise(block, dW, z)
+            obs = model.observables(block)
+            results.append([d, z, obs["sz"], obs["photon"]])
+        for c_order, f_order in zip(*results):
+            np.testing.assert_array_equal(c_order.view(np.uint64),
+                                          f_order.view(np.uint64))
+
+    @pytest.mark.parametrize("n_atoms", [3, 50])
+    def test_kernels_match_the_row_major_formulas_bit_for_bit(self, n_atoms):
+        model, y, dW = self.stepped_block(n_atoms)
+        d, z = np.empty_like(y), np.empty_like(y)
+        model.drift(y, d)
+        model.noise(y, dW, z)
+        expected = row_major_kernels(iparams(n_atoms=n_atoms, **self.PARAMS), y, dW)
+        for got, want in zip((d, z, model.observables(y)["sz"]), expected):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestMeanField:
     def test_solver_free_decay(self):
         # gamma = 0.5 fails if the rate loses its gamma factor
