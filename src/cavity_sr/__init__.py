@@ -17,7 +17,6 @@ from .engine import EnsembleDivergenceError, EnsembleModel, run_ensemble
 from .collective import collective_twa_model, solve_meanfield_collective
 from .individual import individual_dtwa_model, solve_meanfield_individual
 from .oracle import (BasisDescriptor, Liouvillian, build_liouvillian,
-                     build_liouvillian_collective, build_liouvillian_individual,
                      evolve_density_matrix, solve_oracle)
 from .analysis import (ConvergenceVerdict, EmissionMeasurement,
                        IncomparableReportsError, PowerLawFit, ScalingReport,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -131,8 +132,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _read_checked_report(path):
+    """read_report plus what check compares: config keys dt, n_traj, t_max and
+    seed, a finite zeta and positive finite dt (one per N) and n_traj; else a
+    ValueError naming the file and the field."""
+    report = read_report(path)
+    config = report.config if isinstance(report.config, dict) else {}
+    missing = {"dt", "n_traj", "t_max", "seed"} - config.keys()
+    if missing:
+        raise ValueError(f"report {path} lacks the config key {min(missing)!r}")
+    for name, value, low in (("zeta", report.zeta, -math.inf), ("config dt", config["dt"], 0),
+                             ("config n_traj", config["n_traj"], 0)):
+        values = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, (int, float)) and low < v < math.inf for v in values):
+            raise ValueError(f"report {path}: {name} must hold numbers in ({low}, inf), "
+                             f"got {value!r}")
+    return report
+
+
 def _cmd_check(args) -> int:
-    verdict = convergence_check(read_report(args.report_a), read_report(args.report_b))
+    verdict = convergence_check(*map(_read_checked_report, (args.report_a, args.report_b)))
     print(json.dumps({"passed": verdict.passed, "delta": verdict.delta,
                       "variation": verdict.variation,
                       "tolerance": ConvergenceVerdict.TOLERANCE}, indent=2))

@@ -5,22 +5,25 @@ run from the fully excited cavity vacuum.  Two bases:
 
 * collective - the dissipator uses only collective operators, so total spin
   J = N/2 is conserved and the Dicke ladder |J, m> x Fock(0..N) suffices,
-  dimension (N+1)^2; N <= 30.
+  dimension (N+1)^2; N <= 40.
 * individual - full product basis 2^N x Fock(0..N); N <= 6.
 
-The master equation is one sparse superoperator on row-major vec(rho).  The
-Hamiltonian conserves the excitation number n_exc (excited atoms + photons)
+The Hamiltonian conserves the excitation number n_exc (excited atoms + photons)
 and every jump lowers it by one on both sides of rho.  The initial state has
-n_exc = N, so rho only ever holds entries (i, j) with n_exc(i) = n_exc(j) <= N;
-those states hold at most N photons, which is why the Fock space 0..N is exact
-and no photon cutoff is needed.  Only those entries are propagated, and S_z
-and c^dag c, diagonal in both bases, are read from the populations alone.
+n_exc = N, so rho stays block-diagonal: it only ever holds entries (i, j) with
+n_exc(i) = n_exc(j) = k <= N.  Those states hold at most N photons, which is
+why the Fock space 0..N is exact and no photon cutoff is needed.
+
+The generator acts on those blocks alone.  The state vector y lists the blocks
+rho_k for k = N, N-1, ..., 0, each row-major over the states of sector k in
+basis order, so y[0] is the initial population and entry (i, j) of rho_k sits
+at offset_k + local(i) * size_k + local(j).  S_z and c^dag c, diagonal in both
+bases, are read from the populations alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -29,7 +32,7 @@ from scipy.integrate import solve_ivp
 from .params import NumericalParams, SystemParams
 from .series import ObservableSeries, time_grid
 
-MAX_COLLECTIVE_ATOMS = 30
+MAX_COLLECTIVE_ATOMS = 40
 MAX_INDIVIDUAL_ATOMS = 6
 
 RTOL = 1e-10
@@ -70,155 +73,132 @@ class BasisDescriptor:
         return np.repeat(self.n_atoms - ground, self.cavity_dim)
 
 
+@dataclass(frozen=True)
 class Liouvillian:
-    """The master equation d vec(rho)/dt = superop @ vec(rho) on row-major
-    vectorized density matrices.
+    """dy/dt = generator @ y on the sector blocks of rho (module docstring):
+    A rho + rho A^dag + sum_k rate_k L_k rho L_k^dag with A = -i H - (1/2)
+    sum_k rate_k L_k^dag L_k, rates the full Lindblad prefactors (2*kappa,
+    2*Gamma, 2*gamma).  Population p of state states[p] is y[diagonal[p]]."""
 
-    superop is the CSR matrix of -i[H, rho] + sum_k rate_k D[L_k] rho with
-    D[L] rho = L rho L^dag - (1/2){L^dag L, rho}; rates are the full Lindblad
-    prefactors (2*kappa, 2*Gamma, 2*gamma).
-    """
+    basis: BasisDescriptor
+    generator: sparse.csr_array
+    states: np.ndarray
+    diagonal: np.ndarray
 
-    def __init__(self, hamiltonian: np.ndarray,
-                 collapse: List[Tuple[float, np.ndarray]],
-                 basis: BasisDescriptor):
-        self.hamiltonian = hamiltonian
-        self.basis = basis
-        self.dim = hamiltonian.shape[0]
-        # -i[H, rho] - (1/2){G, rho} = A rho + rho A^dag with
-        # A = -i H - (1/2) G, G = sum_k rate_k L_k^dag L_k
-        ops = [(rate, sparse.csr_array(op)) for rate, op in collapse]
-        a = -1j * sparse.csr_array(hamiltonian)
-        for rate, op in ops:
-            a = a - 0.5 * rate * (op.conj().T @ op)
-        eye = sparse.identity(self.dim, dtype=complex, format="csr")
-        # row-major vec: vec(A rho B) = kron(A, B.T) vec(rho)
-        jumps = sum(rate * sparse.kron(op, op.conj(), format="csr") for rate, op in ops)
-        self.superop = sparse.csr_array(sparse.kron(a, eye, format="csr")
-                                        + sparse.kron(eye, a.conj(), format="csr") + jumps)
+    @property
+    def dim(self) -> int:
+        """Hilbert-space dimension."""
+        return self.basis.dim
 
 
-def _fock_annihilator(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+def _cavity_annihilator(basis: BasisDescriptor):
+    a = sparse.diags(np.sqrt(np.arange(1.0, basis.cavity_dim)), 1, dtype=complex)
+    return sparse.kron(sparse.identity(basis.atom_dim), a, format="csr")
 
 
 def collective_operators(basis: BasisDescriptor):
-    """(S_minus, c) on the Dicke ladder x Fock space; index 0 of the
-    ladder is the fully excited state m = +J."""
-    n = basis.n_atoms
-    j = 0.5 * n
-    m = j - np.arange(n + 1)
-    sm_at = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n):
-        sm_at[i + 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] - 1))
-    eye_at = np.eye(n + 1, dtype=complex)
-    eye_c = np.eye(basis.cavity_dim, dtype=complex)
-    a = _fock_annihilator(basis.cavity_dim)
-    return np.kron(sm_at, eye_c), np.kron(eye_at, a)
+    """([S_minus], c) as sparse matrices on the Dicke ladder x Fock space;
+    index 0 of the ladder is the fully excited state m = +J."""
+    j = 0.5 * basis.n_atoms
+    m = j - np.arange(basis.n_atoms)        # upper state of each S- step
+    ladder = sparse.diags(np.sqrt(j * (j + 1) - m * (m - 1)), -1, dtype=complex)
+    return ([sparse.kron(ladder, sparse.identity(basis.cavity_dim), format="csr")],
+            _cavity_annihilator(basis))
 
 
 def individual_operators(basis: BasisDescriptor):
-    """([sigma_minus^i], c) on the 2^N product x Fock space; per-atom
-    basis |e> = index 0."""
+    """([sigma_minus^i], c) as sparse matrices on the 2^N product x Fock
+    space; per-atom basis |e> = index 0, atom 0 the most significant bit."""
     n = basis.n_atoms
-    sm1 = np.array([[0, 0], [1, 0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-
-    def chain(op, i):
-        out = np.ones((1, 1), dtype=complex)
-        for k in range(n):
-            out = np.kron(out, op if k == i else eye2)
-        return out
-
-    eye_c = np.eye(basis.cavity_dim, dtype=complex)
-    a = _fock_annihilator(basis.cavity_dim)
-    sigma_minus = [np.kron(chain(sm1, i), eye_c) for i in range(n)]
-    eye_at = np.eye(basis.atom_dim, dtype=complex)
-    return sigma_minus, np.kron(eye_at, a)
+    sm1 = sparse.diags([1.0], -1, shape=(2, 2), dtype=complex)
+    sigma_minus = [sparse.kron(sparse.kron(sparse.identity(2 ** i), sm1),
+                               sparse.identity(2 ** (n - 1 - i) * basis.cavity_dim),
+                               format="csr") for i in range(n)]
+    return sigma_minus, _cavity_annihilator(basis)
 
 
-def _hamiltonian(params: SystemParams, s_minus, c) -> np.ndarray:
-    """H = Delta c^dag c + g (S+ c + S- c^dag), rotating at the atomic frequency."""
-    s_plus = s_minus.conj().T
-    return (params.detuning * (c.conj().T @ c)
-            + params.g * (s_plus @ c + s_minus @ c.conj().T))
-
-
-def build_liouvillian_collective(params: SystemParams) -> Liouvillian:
-    """Master equation with the collective jump S_minus at rate 2*Gamma and
-    the cavity jump c at rate 2*kappa."""
-    if params.gamma_col is None:
-        raise ValueError("collective oracle needs gamma_col")
-    if params.n_atoms > MAX_COLLECTIVE_ATOMS:
-        raise ValueError(f"collective oracle limited to N <= {MAX_COLLECTIVE_ATOMS}")
-    basis = BasisDescriptor("collective", params.n_atoms)
-    sm, c = collective_operators(basis)
-    h = _hamiltonian(params, sm, c)
-    return Liouvillian(h, [(2.0 * params.kappa, c), (2.0 * params.gamma_col, sm)], basis)
-
-
-def build_liouvillian_individual(params: SystemParams) -> Liouvillian:
-    """Master equation with N independent jumps sigma_minus^i at rate 2*gamma
-    each, plus the cavity jump."""
-    if params.gamma_ind is None:
-        raise ValueError("individual oracle needs gamma_ind")
-    if params.n_atoms > MAX_INDIVIDUAL_ATOMS:
-        raise ValueError(f"individual oracle limited to N <= {MAX_INDIVIDUAL_ATOMS}")
-    basis = BasisDescriptor("individual", params.n_atoms)
-    sigma_minus, c = individual_operators(basis)
-    h = _hamiltonian(params, sum(sigma_minus), c)
-    collapse = [(2.0 * params.kappa, c)]
-    collapse += [(2.0 * params.gamma_ind, sm) for sm in sigma_minus]
-    return Liouvillian(h, collapse, basis)
+def _equal_sector_pairs(left: np.ndarray, right: np.ndarray):
+    """All index pairs (p, q) with left[p] == right[q]."""
+    order = np.argsort(right, kind="stable")
+    first = np.searchsorted(right[order], left, "left")
+    count = np.searchsorted(right[order], left, "right") - first
+    p = np.repeat(np.arange(left.size), count)
+    within = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
+    return p, order[np.repeat(first, count) + within]
 
 
 def build_liouvillian(params: SystemParams) -> Liouvillian:
-    if params.scheme == "collective":
-        return build_liouvillian_collective(params)
-    return build_liouvillian_individual(params)
+    """Master equation with the cavity jump c at rate 2*kappa and either the
+    collective jump S_minus at rate 2*Gamma or N independent jumps
+    sigma_minus^i at rate 2*gamma each, on the sector blocks of rho."""
+    limit = MAX_COLLECTIVE_ATOMS if params.scheme == "collective" else MAX_INDIVIDUAL_ATOMS
+    if params.n_atoms > limit:
+        raise ValueError(f"{params.scheme} oracle limited to N <= {limit}")
+    basis = BasisDescriptor(params.scheme, params.n_atoms)
+    operators = collective_operators if basis.kind == "collective" else individual_operators
+    jumps, c = operators(basis)
+    s_minus = sum(jumps)
+    # H = Delta c^dag c + g (S+ c + S- c^dag), rotating at the atomic frequency
+    h = params.detuning * (c.conj().T @ c) \
+        + params.g * (s_minus.conj().T @ c + s_minus @ c.conj().T)
+    collapse = [(2.0 * params.kappa, c)] + [(2.0 * params.gamma, op) for op in jumps]
+    a = -1j * h - 0.5 * sum(rate * (op.conj().T @ op) for rate, op in collapse)
 
+    # sector k = n_exc of each basis state; blocks lists the reachable
+    # sectors N, N-1, ..., 0, each in basis order
+    sector = basis.excited_atoms + basis.photons
+    blocks = [np.flatnonzero(sector == k) for k in range(basis.n_atoms, -1, -1)]
+    states = np.concatenate(blocks)
+    size = np.bincount(sector[states])                        # indexed by k
+    offset = np.cumsum((size ** 2)[::-1])[::-1] - size ** 2   # blocks above k
+    local = np.zeros(basis.dim, dtype=np.intp)
+    local[states] = np.concatenate([np.arange(block.size) for block in blocks])
 
-def invariant_entries(basis: BasisDescriptor) -> np.ndarray:
-    """Row-major vec(rho) positions of the entries (i, j) with
-    n_exc(i) = n_exc(j) <= N, the ones the fully excited vacuum (vec
-    position 0) can reach; the dynamics never leaves them."""
-    n_exc = basis.excited_atoms + basis.photons
-    reachable = n_exc <= basis.n_atoms
-    keep = reachable[:, None] & (n_exc[:, None] == n_exc[None, :])
-    return np.flatnonzero(keep)
+    def position(i, j):
+        return offset[sector[i]] + local[i] * size[sector[i]] + local[j]
+
+    def entries(op):
+        # an explicit zero could join two sectors, so only nonzeros count
+        op = sparse.coo_array(op)
+        keep = (op.data != 0) & (sector[op.col] <= basis.n_atoms)
+        return op.row[keep], op.col[keep], op.data[keep]
+
+    def sandwich(x, y, scale=1.0):
+        # rho -> scale x rho y^dag: x[i, m] rho[m, n] conj(y[j, n]) feeds (i, j)
+        (i, m, xv), (j, n, yv) = x, y
+        p, q = _equal_sector_pairs(sector[m], sector[n])
+        return position(i[p], j[q]), position(m[p], n[q]), scale * xv[p] * yv[q].conj()
+
+    eye = (states, states, np.ones(states.size, dtype=complex))
+    terms = [sandwich(entries(a), eye), sandwich(eye, entries(a))]
+    terms += [sandwich(entries(op), entries(op), rate) for rate, op in collapse]
+    rows, cols, values = (np.concatenate(parts) for parts in zip(*terms))
+    generator = sparse.csr_array((values, (rows, cols)), shape=(size @ size,) * 2)
+    return Liouvillian(basis, generator, states, position(states, states))
 
 
 def evolve_density_matrix(liouv: Liouvillian, t_grid: np.ndarray) -> ObservableSeries:
     """<S_z>(t) and <c^dag c>(t) from the fully excited vacuum by deterministic
-    integration of the master equation on the entries of rho it can reach
+    integration of the master equation on the sector blocks of rho
     (rtol 1e-10); raises if the trace drifts beyond 1e-10."""
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
-    basis = liouv.basis
-    kept = invariant_entries(basis)
-    restricted = liouv.superop[kept][:, kept]
-
-    def rhs(t, y):
-        return restricted @ y
-
-    y0 = np.zeros(kept.size, dtype=complex)
-    y0[0] = 1.0                 # kept[0] = 0: |e_1 ... e_N; 0><...|
-    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), y0,
+    y0 = np.zeros(liouv.generator.shape[0], dtype=complex)
+    y0[0] = 1.0                 # rho_N[0, 0] = |e_1 ... e_N; 0><...|
+    sol = solve_ivp(lambda t, y: liouv.generator @ y, (t_grid[0], t_grid[-1]), y0,
                     t_eval=t_grid, method="DOP853", rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise RuntimeError(f"master-equation integration failed: {sol.message}")
-    # rho_ii sits at vec position i * (d + 1)
-    on_diagonal = kept % (liouv.dim + 1) == 0
-    states = kept[on_diagonal] // (liouv.dim + 1)
-    populations = sol.y[on_diagonal].real
+    populations = sol.y[liouv.diagonal].real
 
     drift = float(np.max(np.abs(populations.sum(axis=0) - 1.0)))
     if drift > TRACE_TOL:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_TOL}")
 
-    sz = (basis.excited_atoms[states] - 0.5 * basis.n_atoms) @ populations
-    photon = basis.photons[states] @ populations
+    basis = liouv.basis
+    sz = (basis.excited_atoms[liouv.states] - 0.5 * basis.n_atoms) @ populations
+    photon = basis.photons[liouv.states] @ populations
     zeros = np.zeros_like(sz)
     return ObservableSeries(times=t_grid, sz_mean=sz, sz_sem=zeros,
                             photon_mean=photon, photon_sem=zeros,

@@ -15,6 +15,12 @@ from cavity_sr.series import ObservableSeries
 
 # a report whose points are bare numbers instead of {"n", "intensity"} objects
 BAD_POINTS = '{"points": [1, 2], "zeta": 1, "intercept": 0, "r_squared": 1}'
+POINTS = ('"points": [{"n": 10, "intensity": 100}, {"n": 20, "intensity": 400}, '
+          '{"n": 40, "intensity": 1600}], "intercept": 0, "r_squared": 1')
+NO_CONFIG = '{%s, "zeta": 2}' % POINTS
+CONFIG = '"config": {"dt": [0.01, 0.01, 0.01], "n_traj": %s, "t_max": null, "seed": 0}'
+ZERO_TRAJECTORIES = '{%s, "zeta": 2, %s}' % (POINTS, CONFIG % 0)
+STRING_ZETA = '{%s, "zeta": "2", %s}' % (POINTS, CONFIG % 300)
 
 
 def run_cli(*argv):
@@ -97,6 +103,9 @@ class TestSimulate:
     # full and a partial chunk in one block, and its N = 20 atom sums run in
     # numpy's pairwise order (below 8 terms, as at N = 6, numpy adds
     # sequentially); its digest predates the column-major DTWA block.
+    # twa-g10 couples at g = 10, not a power of two, so a reassociated
+    # coupling product (g * beta * eta against beta * eta * g) changes
+    # its bits.
     @pytest.mark.parametrize("scheme, solver, n_atoms, g, kappa, m, digest", [
         ("collective", "twa", "20", "4", "10", "300",
          "41d8cf3d73685b9e36bfa3d0f3c9089f05547d0af32d6ff5715e153ea8c309eb"),
@@ -106,7 +115,9 @@ class TestSimulate:
          "e6b7f22e930bbea7c03a7045a467d51144f5e87b7f4d26966f638ce4b47917e0"),
         ("individual", "dtwa", "20", "2", "20", "300",
          "2d7186229d64a6e2f3fa7e7c7efe9d3f49f5b25021157ac3a95b08e1ff5789d3"),
-    ], ids=["twa", "dtwa", "twa-blocks", "dtwa-lattice"])
+        ("collective", "twa", "20", "10", "100", "300",
+         "8744f7790462c287fe3dad9b59f13f47d74def27f6eaa138e48c1be7bec99200"),
+    ], ids=["twa", "dtwa", "twa-blocks", "dtwa-lattice", "twa-g10"])
     def test_seed_zero_output_bits_are_pinned(self, tmp_path, scheme, solver,
                                               n_atoms, g, kappa, m, digest):
         assert run_cli("simulate", "--scheme", scheme, "--solver", solver,
@@ -214,6 +225,12 @@ class TestFit:
         assert captured.out == ""
         assert f"non-finite emission strength at N = {n}" in captured.err
 
+    def test_fit_reads_a_report_without_config(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(NO_CONFIG + "\n")
+        assert run_cli("fit", "--input", str(report)) == 0
+        assert json.loads(capsys.readouterr().out)["zeta"] == pytest.approx(2.0)
+
     @pytest.mark.parametrize("command,text,fragment", [
         pytest.param("fit", '{"points": []}', "'zeta'", id="fit"),
         pytest.param("check", '{"points": []}', "'zeta'", id="check"),
@@ -224,6 +241,10 @@ class TestFit:
         pytest.param("fit", "", "must be a report JSON or CSV", id="fit-empty-file"),
         pytest.param("check", '{"zeta": ', "not valid JSON", id="check-truncated"),
         pytest.param("fit", '{"zeta": ', "not valid JSON", id="fit-truncated"),
+        pytest.param("check", NO_CONFIG, "config key 'dt'", id="check-no-config"),
+        pytest.param("check", ZERO_TRAJECTORIES, "config n_traj must hold numbers in (0, inf)",
+                     id="check-zero-trajectories"),
+        pytest.param("check", STRING_ZETA, "zeta must hold numbers", id="check-string-zeta"),
     ])
     def test_report_without_required_key_names_file_and_key(self, tmp_path, capsys,
                                                             command, text, fragment):
