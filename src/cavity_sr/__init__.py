@@ -23,4 +23,4 @@ from .analysis import (ConvergenceVerdict, EmissionMeasurement,
                        UnresolvedBurstError, convergence_check,
                        emission_strength, moving_average, power_law_fit,
                        scaling_sweep)
-from .runners import RunInfo, resolve_solver, simulate_timeseries
+from .runners import resolve_solver, simulate_timeseries

@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .params import NumericalParams, SystemParams, validate_params
+from .runners import simulate_timeseries
 from .series import ObservableSeries
 
 
@@ -148,17 +149,8 @@ def _fingerprint(config: dict) -> str:
         json.dumps(config, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def scaling_sweep(scheme: str, solver: str, n_list: Sequence[int],
-                  params: SystemParams, num: NumericalParams) -> ScalingReport:
-    """Run the chosen solver for each N, extract I, and fit the exponent.
-
-    dt and t_max follow the N-adapted defaults unless given explicitly; any
-    unresolved burst aborts the fit.  The report records per-N divergent
-    trajectory counts and a configuration fingerprint.  n_list is checked
-    as a whole before the first solve.
-    """
-    from .runners import simulate_timeseries
-
+def atom_numbers(n_list: Sequence[int]) -> List[int]:
+    """n_list as ints if it holds at least 3 distinct values >= 1."""
     ns = [int(n) for n in n_list]
     if len(ns) < 3:
         raise ValueError("n_list needs at least 3 atom numbers")
@@ -166,13 +158,27 @@ def scaling_sweep(scheme: str, solver: str, n_list: Sequence[int],
         raise ValueError(f"atom numbers in n_list must be distinct, got {ns}")
     if min(ns) < 1:
         raise ValueError(f"atom numbers in n_list must be >= 1, got {ns}")
+    return ns
+
+
+def scaling_sweep(solver: str, n_list: Sequence[int], params: SystemParams,
+                  num: NumericalParams) -> ScalingReport:
+    """Run a resolved solver (runners.resolve_solver) for each N in the
+    scheme params.scheme, extract I, and fit the exponent.
+
+    dt and t_max follow the N-adapted defaults unless given explicitly; any
+    unresolved burst aborts the fit.  The report records per-N divergent
+    trajectory counts and a configuration fingerprint.  n_list is checked
+    as a whole (atom_numbers) before the first solve.
+    """
+    ns = atom_numbers(n_list)
     points = []
     divergent = []
     dts = []
     for n in ns:
         p_n = replace(params, n_atoms=n)
         p_n, num_n = validate_params(p_n, num)
-        series, info = simulate_timeseries(scheme, solver, p_n, num_n)
+        series = simulate_timeseries(solver, p_n, num_n)
         measurement = emission_strength(series, num_n.smoothing_window)
         points.append((n, measurement.intensity,
                        emission_uncertainty(series, measurement)))
@@ -181,7 +187,7 @@ def scaling_sweep(scheme: str, solver: str, n_list: Sequence[int],
 
     fit = power_law_fit([(n, i) for n, i, _ in points])
     config = {
-        "scheme": scheme,
+        "scheme": params.scheme,
         "solver": solver,
         "n_list": ns,
         "dt": dts,

@@ -4,6 +4,9 @@ Subcommands: simulate (one time series), sweep (scaling report over an atom
 number list), fit (power-law fit of a points file), check (convergence
 comparison of two reports).  Exit codes: 0 success, 1 validation error,
 2 runtime failure.  Rates are in units of the active atomic decay half-rate.
+
+simulate and sweep validate their input before _run resolves the solver for
+SystemParams.scheme, the scheme's only carrier, creates --out and times it.
 """
 
 from __future__ import annotations
@@ -12,14 +15,15 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
 from .analysis import (ConvergenceVerdict, IncomparableReportsError,
-                       UnresolvedBurstError, convergence_check, power_law_fit,
-                       scaling_sweep)
-from .fileio import (RunManifest, read_points_file, read_report, write_manifest,
-                     write_report, write_timeseries)
+                       UnresolvedBurstError, atom_numbers, convergence_check,
+                       power_law_fit, scaling_sweep)
+from .fileio import (read_points_file, read_report, write_manifest, write_report,
+                     write_timeseries)
 from .params import (ConfigurationError, NumericalParams, collective_params,
                      individual_params, validate_params)
 from .runners import resolve_solver, simulate_timeseries
@@ -50,10 +54,10 @@ def _raw_config(args, n_atoms: int):
     return params, num
 
 
-def _config_echo(args, params, num) -> dict:
+def _config_echo(params, num, solver) -> dict:
     return {
-        "scheme": args.scheme,
-        "solver": args.solver,
+        "scheme": params.scheme,
+        "solver": solver,
         "n_atoms": params.n_atoms,
         "g": params.g,
         "kappa": params.kappa,
@@ -67,20 +71,37 @@ def _config_echo(args, params, num) -> dict:
     }
 
 
-def _cmd_simulate(args) -> int:
-    resolve_solver(args.scheme, args.solver)
-    params, num = validate_params(*_raw_config(args, args.n_atoms))
-    series, info = simulate_timeseries(args.scheme, args.solver, params, num)
+def _run(args, params, num, solve):
+    """Resolve the solver and create --out, then time solve(solver), which
+    returns (result, config, divergent count).  Returns the result, --out
+    and the manifest.json record; write_manifest fills in its outputs."""
+    solver = resolve_solver(params.scheme, args.solver)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
+    result, config, n_divergent = solve(solver)
+    return result, out, {
+        "config": config,
+        "master_seed": num.seed,
+        "solver": f"cavity-sr {__version__} {params.scheme}/{solver}",
+        "version": __version__,
+        "n_divergent": n_divergent,
+        "wall_clock_s": time.perf_counter() - start,
+        "outputs": {},
+    }
+
+
+def _cmd_simulate(args) -> int:
+    params, num = validate_params(*_raw_config(args, args.n_atoms))
+
+    def solve(solver):
+        series = simulate_timeseries(solver, params, num)
+        return series, _config_echo(params, num, solver), series.n_divergent
+    series, out, manifest = _run(args, params, num, solve)
     csv = write_timeseries(series, out / "timeseries.csv")
-    manifest = RunManifest(config=_config_echo(args, params, num),
-                           master_seed=num.seed, solver=info.solver_id,
-                           version=__version__, n_divergent=info.n_divergent,
-                           wall_clock_s=info.wall_clock_s)
     write_manifest(manifest, out, [csv])
     print(f"wrote {csv} ({len(series.times)} points, "
-          f"{info.n_divergent} divergent)")
+          f"{series.n_divergent} divergent)")
     return 0
 
 
@@ -93,25 +114,19 @@ def _parse_n_list(text: str) -> list[int]:
             errors.append(f"--n-list entry {entry!r} in {text!r} is not an integer")
     if errors:
         raise ConfigurationError(errors)
-    return n_list
+    return atom_numbers(n_list)
 
 
 def _cmd_sweep(args) -> int:
-    solver = resolve_solver(args.scheme, args.solver)
     n_list = _parse_n_list(args.n_list)
     # keep dt / t_max unresolved so the sweep adapts them per N
     params, num = _raw_config(args, n_list[0])
     validate_params(params, num)
-    import time
-    start = time.perf_counter()
-    report = scaling_sweep(args.scheme, solver, n_list, params, num)
-    manifest = RunManifest(config=report.config, master_seed=num.seed,
-                           solver=f"cavity-sr {__version__} {args.scheme}/{solver}",
-                           version=__version__,
-                           n_divergent=int(sum(report.divergent)),
-                           wall_clock_s=time.perf_counter() - start)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+
+    def solve(solver):
+        report = scaling_sweep(solver, n_list, params, num)
+        return report, report.config, int(sum(report.divergent))
+    report, out, manifest = _run(args, params, num, solve)
     report_path = write_report(report, manifest, out / "report.json")
     write_manifest(manifest, out, [report_path])
     print(f"zeta = {report.zeta:.4f} +- {report.zeta_stderr:.4f} "

@@ -9,46 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List
-
-import numpy as np
+from typing import List
 
 from .analysis import ScalingReport
 from .series import ObservableSeries
 
 TIMESERIES_HEADER = "t,sz_mean,sz_sem,sz_norm,photon_mean,photon_sem"
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to bit-reproduce a run plus digests of its outputs."""
-
-    config: dict
-    master_seed: int
-    solver: str
-    version: str
-    n_divergent: int
-    wall_clock_s: float
-    outputs: Dict[str, str] = field(default_factory=dict)   # filename -> sha256
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "solver": self.solver,
-            "version": self.version,
-            "n_divergent": self.n_divergent,
-            "wall_clock_s": self.wall_clock_s,
-            "outputs": dict(sorted(self.outputs.items())),
-        }
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
 
 
 def write_timeseries(series: ObservableSeries, path) -> Path:
@@ -65,18 +32,10 @@ def write_timeseries(series: ObservableSeries, path) -> Path:
     return path
 
 
-def read_timeseries(path, n_atoms: int) -> ObservableSeries:
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != TIMESERIES_HEADER:
-        raise ValueError(f"unexpected header {lines[0]!r}")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return ObservableSeries(times=data[:, 0], sz_mean=data[:, 1], sz_sem=data[:, 2],
-                            photon_mean=data[:, 4], photon_sem=data[:, 5],
-                            n_atoms=n_atoms)
-
-
-def report_to_dict(report: ScalingReport, manifest: RunManifest | None = None) -> dict:
-    out = {
+def write_report(report: ScalingReport, manifest: dict, path) -> Path:
+    """The report's fields, then the manifest.json record of the run."""
+    path = Path(path)
+    path.write_text(json.dumps({
         "points": [{"n": n, "intensity": i, "sem": s} for n, i, s in report.points],
         "zeta": report.zeta,
         "intercept": report.intercept,
@@ -85,15 +44,8 @@ def report_to_dict(report: ScalingReport, manifest: RunManifest | None = None) -
         "fingerprint": report.fingerprint,
         "divergent": list(report.divergent),
         "config": report.config,
-    }
-    if manifest is not None:
-        out["manifest"] = manifest.to_dict()
-    return out
-
-
-def write_report(report: ScalingReport, manifest: RunManifest | None, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report_to_dict(report, manifest), indent=2) + "\n")
+        "manifest": manifest,
+    }, indent=2) + "\n")
     return path
 
 
@@ -141,11 +93,13 @@ def read_points_file(path) -> List[tuple]:
     return points
 
 
-def write_manifest(manifest: RunManifest, out_dir, outputs) -> Path:
-    """Write out_dir/manifest.json with the SHA-256 of each file in outputs,
-    the files this run wrote; other files in out_dir are not listed."""
-    out_dir = Path(out_dir)
-    manifest.outputs = {Path(p).name: sha256_file(p) for p in outputs}
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
+def write_manifest(manifest: dict, out_dir, outputs) -> Path:
+    """Write out_dir/manifest.json: the run record with "outputs" mapping the
+    name of each file in outputs, the files this run wrote, to its SHA-256,
+    sorted by name; other files in out_dir are not listed."""
+    digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for p in outputs}
+    path = Path(out_dir) / "manifest.json"
+    path.write_text(json.dumps({**manifest, "outputs": dict(sorted(digests.items()))},
+                               indent=2) + "\n")
     return path

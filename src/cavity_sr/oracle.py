@@ -178,9 +178,10 @@ def build_liouvillian(params: SystemParams) -> Liouvillian:
 
 
 def evolve_density_matrix(liouv: Liouvillian, t_grid: np.ndarray) -> ObservableSeries:
-    """<S_z>(t) and <c^dag c>(t) from the fully excited vacuum by deterministic
-    integration of the master equation on the sector blocks of rho
-    (rtol 1e-10); raises if the trace drifts beyond 1e-10."""
+    """<S_z>(t) and <c^dag c>(t) from the fully excited vacuum by DOP853 on the
+    sector blocks of rho; raises if the trace drifts beyond 1e-10.  RTOL bounds
+    each step's error, not the result's: on stiff cases (individual N = 1,
+    g = 10, kappa = 100) the photon mean is 3e-8 from the matrix exponential."""
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")

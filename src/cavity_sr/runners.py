@@ -1,11 +1,10 @@
-"""Solver dispatch shared by the CLI and the sweep orchestration."""
+"""Solver dispatch: the one path from validated params to a time series.
+
+The scheme is SystemParams.scheme; a caller resolves the solver name once
+(resolve_solver) and passes it to simulate_timeseries or scaling_sweep."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-from . import __version__
 from .collective import collective_twa_model, solve_meanfield_collective
 from .engine import run_ensemble
 from .individual import individual_dtwa_model, solve_meanfield_individual
@@ -13,51 +12,35 @@ from .oracle import solve_oracle
 from .params import (NumericalParams, SystemParams, SCHEME_COLLECTIVE,
                      SCHEME_INDIVIDUAL)
 
-SOLVERS = ("stochastic", "twa", "dtwa", "meanfield", "oracle")
-
-
-@dataclass(frozen=True)
-class RunInfo:
-    solver_id: str
-    wall_clock_s: float
-    n_divergent: int
+# the valid (scheme, solver) pairs; the model factories and run_ensemble are
+# looked up at call time
+_SOLVE = {
+    (SCHEME_COLLECTIVE, "twa"):
+        lambda params, num: run_ensemble(collective_twa_model(params, num), params, num),
+    (SCHEME_INDIVIDUAL, "dtwa"):
+        lambda params, num: run_ensemble(individual_dtwa_model(params, num), params, num),
+    (SCHEME_COLLECTIVE, "meanfield"): solve_meanfield_collective,
+    (SCHEME_INDIVIDUAL, "meanfield"): solve_meanfield_individual,
+    (SCHEME_COLLECTIVE, "oracle"): solve_oracle,
+    (SCHEME_INDIVIDUAL, "oracle"): solve_oracle,
+}
 
 
 def resolve_solver(scheme: str, solver: str) -> str:
     """Resolve "stochastic" to the scheme's phase-space solver and reject
     unknown solvers and invalid scheme/solver pairs."""
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
     if solver == "stochastic":
         solver = "twa" if scheme == SCHEME_COLLECTIVE else "dtwa"
-    if solver == "twa" and scheme != SCHEME_COLLECTIVE:
-        raise ValueError("--solver twa requires --scheme collective")
-    if solver == "dtwa" and scheme != SCHEME_INDIVIDUAL:
-        raise ValueError("--solver dtwa requires --scheme individual")
-    if scheme not in (SCHEME_COLLECTIVE, SCHEME_INDIVIDUAL):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    if (scheme, solver) not in _SOLVE:
+        schemes = [s for s, name in _SOLVE if name == solver]
+        raise ValueError(f"--solver {solver} requires --scheme {' or '.join(schemes)}"
+                         if schemes else f"unknown solver {solver!r}")
     return solver
 
 
-def simulate_timeseries(scheme: str, solver: str, params: SystemParams,
-                        num: NumericalParams):
-    """Run one (scheme, solver) time-series simulation on validated params."""
-    solver = resolve_solver(scheme, solver)
-    if params.scheme != scheme:
-        raise ValueError(f"params configured for {params.scheme}, asked for {scheme}")
-    start = time.perf_counter()
-    if solver == "twa":
-        series = run_ensemble(collective_twa_model(params, num), params, num)
-    elif solver == "dtwa":
-        series = run_ensemble(individual_dtwa_model(params, num), params, num)
-    elif solver == "meanfield":
-        if scheme == SCHEME_COLLECTIVE:
-            series = solve_meanfield_collective(params, num)
-        else:
-            series = solve_meanfield_individual(params, num)
-    else:
-        series = solve_oracle(params, num)
-    info = RunInfo(solver_id=f"cavity-sr {__version__} {scheme}/{solver}",
-                   wall_clock_s=time.perf_counter() - start,
-                   n_divergent=series.n_divergent)
-    return series, info
+def simulate_timeseries(solver: str, params: SystemParams, num: NumericalParams):
+    """Run one resolved solver on validated params of scheme params.scheme."""
+    solve = _SOLVE.get((params.scheme, solver))
+    if solve is None:
+        raise ValueError(f"no solver {solver!r} for the {params.scheme} scheme")
+    return solve(params, num)

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from cavity_sr import (IncomparableReportsError, NumericalParams,
                        ObservableSeries, ScalingReport, UnresolvedBurstError,
                        collective_params, convergence_check, emission_strength,
-                       moving_average, power_law_fit, scaling_sweep)
+                       individual_params, moving_average, power_law_fit,
+                       scaling_sweep)
 
 
 def series_from(times, sz, n_atoms=100, sem=None):
@@ -152,7 +153,7 @@ class TestScalingSweep:
         ns = [50, 100, 200]
         params = collective_params(50)
         num = NumericalParams(n_traj=1, seed=0)
-        report = scaling_sweep("collective", "meanfield", ns, params, num)
+        report = scaling_sweep("meanfield", ns, params, num)
         exact = power_law_fit([(n, (n + 1) ** 2 / 2) for n in ns])
         assert report.zeta == pytest.approx(exact.zeta, abs=0.01)
         # per-point intensities carry a small common-mode smoothing bias
@@ -164,8 +165,37 @@ class TestScalingSweep:
 
     def test_needs_three_atom_numbers(self):
         with pytest.raises(ValueError, match="3"):
-            scaling_sweep("collective", "meanfield", [50, 100],
+            scaling_sweep("meanfield", [50, 100],
                           collective_params(50), NumericalParams())
+
+    @pytest.mark.parametrize("solver", ["twa", "stochastic"])
+    def test_solver_must_be_resolved_for_the_scheme(self, solver):
+        with pytest.raises(ValueError, match=f"no solver '{solver}' for the individual"):
+            scaling_sweep(solver, [2, 3, 4], individual_params(2), NumericalParams())
+
+
+def exact_zeta(make, ns, g, kappa):
+    """Exponent of the exact oracle's I(N) over ns at coupling g, decay kappa."""
+    return scaling_sweep("oracle", ns, make(ns[0], g=g, kappa=kappa),
+                         NumericalParams(n_traj=1)).zeta
+
+
+class TestPaperHeadline:
+    """The paper's claim from the exact oracle: a cavity (g = kappa = 3)
+    suppresses the collective exponent and enhances the individual one
+    against free space (g = kappa = 0).  README.md lists these values."""
+
+    def test_cavity_suppresses_the_collective_exponent(self):
+        free = exact_zeta(collective_params, [5, 10, 20], 0.0, 0.0)
+        cavity = exact_zeta(collective_params, [5, 10, 20], 3.0, 3.0)
+        assert (free, cavity) == pytest.approx((1.801, 1.635), abs=1e-3)
+        assert free - cavity > 0.1
+
+    def test_cavity_enhances_the_individual_exponent(self):
+        free = exact_zeta(individual_params, [2, 3, 4, 5], 0.0, 0.0)
+        cavity = exact_zeta(individual_params, [2, 3, 4, 5], 3.0, 3.0)
+        assert (free, cavity) == pytest.approx((1.000, 1.084), abs=1e-3)
+        assert cavity - free > 0.03
 
 
 def report_with(zeta, dt=(1e-3,), n_traj=1000, **config_overrides):

@@ -10,7 +10,7 @@ import pytest
 
 from cavity_sr import __version__
 from cavity_sr.cli import cli_dispatch
-from cavity_sr.fileio import (read_report, read_timeseries, write_timeseries)
+from cavity_sr.fileio import read_report, write_timeseries
 from cavity_sr.series import ObservableSeries
 
 # a report whose points are bare numbers instead of {"n", "intensity"} objects
@@ -30,15 +30,21 @@ def run_cli(*argv):
 def count_solves(monkeypatch):
     """Replace the solver behind simulate and sweep by one that records its
     calls and fails, so a run that gets past validation ends at once."""
-    from cavity_sr import cli, runners
+    from cavity_sr import analysis, cli
     calls = []
 
     def solve(*args):
         calls.append(args)
         raise RuntimeError("solver reached")
-    monkeypatch.setattr(runners, "simulate_timeseries", solve)
+    monkeypatch.setattr(analysis, "simulate_timeseries", solve)
     monkeypatch.setattr(cli, "simulate_timeseries", solve)
     return calls
+
+
+def read_columns(path):
+    """The timeseries.csv columns t, sz_mean, sz_sem, sz_norm, photon_mean,
+    photon_sem as float arrays."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
 
 
 def small_series():
@@ -59,10 +65,10 @@ class TestTimeseriesFile:
     def test_round_trip_is_exact(self, tmp_path):
         series = small_series()
         path = write_timeseries(series, tmp_path / "ts.csv")
-        back = read_timeseries(path, n_atoms=10)
-        np.testing.assert_array_equal(back.times, series.times)
-        np.testing.assert_array_equal(back.sz_mean, series.sz_mean)
-        np.testing.assert_array_equal(back.photon_mean, series.photon_mean)
+        columns = (series.times, series.sz_mean, series.sz_sem, series.sz_norm,
+                   series.photon_mean, series.photon_sem)
+        for back, column in zip(read_columns(path), columns, strict=True):
+            np.testing.assert_array_equal(back, column)
 
     def test_norm_column_is_normalized(self, tmp_path):
         path = write_timeseries(small_series(), tmp_path / "ts.csv")
@@ -83,8 +89,8 @@ class TestSimulate:
         assert manifest["outputs"]["timeseries.csv"] == digest
         assert manifest["config"]["n_atoms"] == 40
         assert manifest["config"]["dt"] is not None
-        series = read_timeseries(csv, 40)
-        assert series.sz_norm[0] == pytest.approx(1.0)
+        sz_norm = read_columns(csv)[3]
+        assert sz_norm[0] == pytest.approx(1.0)
 
     def test_same_seed_reproduces_bytes(self, tmp_path):
         args = ["simulate", "--scheme", "individual", "--solver", "dtwa",
@@ -132,9 +138,9 @@ class TestSimulate:
                        "oracle", "--n-atoms", "2", "--t-max", "1.0",
                        "--dt", "0.01", "--out", str(tmp_path / "o"))
         assert code == 0
-        series = read_timeseries(tmp_path / "o/timeseries.csv", 2)
-        exact = 2 * np.exp(-4 * series.times) + 4 * series.times * np.exp(-4 * series.times) - 1
-        np.testing.assert_allclose(series.sz_mean, exact, atol=1e-6)
+        t, sz_mean = read_columns(tmp_path / "o/timeseries.csv")[:2]
+        exact = 2 * np.exp(-4 * t) + 4 * t * np.exp(-4 * t) - 1
+        np.testing.assert_allclose(sz_mean, exact, atol=1e-6)
 
 
 class TestValidationAndExitCodes:
@@ -176,10 +182,26 @@ class TestValidationAndExitCodes:
     def test_bad_number_fails_before_any_solve(self, tmp_path, monkeypatch,
                                                capsys, argv, message):
         calls = count_solves(monkeypatch)
-        code = run_cli(*argv, "--scheme", "collective", "--out", str(tmp_path))
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--scheme", "collective", "--out", str(out))
         assert code == 1
         assert calls == []
+        assert not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--solver", "meanfield", "--n-atoms", "10"],
+        ["sweep", "--solver", "meanfield", "--n-list", "10,20,40"],
+    ], ids=["simulate", "sweep"])
+    def test_unusable_out_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                                 capsys, argv):
+        calls = count_solves(monkeypatch)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run_cli(*argv, "--scheme", "collective", "--out", str(blocker / "out"))
+        assert code == 2
+        assert calls == []
+        assert "runtime failure" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:
@@ -297,10 +319,12 @@ class TestSweepAndCheck:
     def test_bad_sweep_input_fails_before_any_solve(self, tmp_path, monkeypatch,
                                                     capsys, extra, message):
         calls = count_solves(monkeypatch)
+        out = tmp_path / "out"
         code = run_cli("sweep", "--scheme", "collective", "--solver",
-                       "meanfield", *extra, "--out", str(tmp_path))
+                       "meanfield", *extra, "--out", str(out))
         assert code == 1
         assert calls == []
+        assert not out.exists()
         assert message in capsys.readouterr().err
 
     def test_check_passes_for_equivalent_reports(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 from cavity_sr import (NumericalParams, build_liouvillian, collective_params,
                        evolve_density_matrix, individual_params, solve_oracle,
@@ -305,6 +306,36 @@ class TestEvolveErrors:
         series = evolve_density_matrix(liouv, t)
         np.testing.assert_allclose(series.sz_mean, 1.0, atol=1e-10)
         np.testing.assert_allclose(series.photon_mean, 0.0, atol=1e-10)
+
+
+class TestIndependentPropagator:
+    """solve_oracle against the matrix exponential of the same generator,
+    applied by expm_multiply on the same grid.  The individual N = 1 case at
+    g = 10, kappa = 100 is stiff for DOP853: its error there (photon mean
+    3e-8) exceeds rtol, so it gets the looser bound."""
+
+    @pytest.mark.parametrize("make, n_atoms, g, kappa, tol", [
+        (collective_params, 8, 10.0, 100.0, 1e-9),
+        (individual_params, 3, 10.0, 100.0, 1e-9),
+        (collective_params, 4, 3.0, 3.0, 1e-9),
+        (individual_params, 1, 10.0, 100.0, 1e-7),
+    ], ids=["collective-8", "individual-3", "collective-4-g3", "individual-1-stiff"])
+    def test_oracle_matches_expm_multiply(self, make, n_atoms, g, kappa, tol):
+        params, num = validate_params(make(n_atoms, g=g, kappa=kappa),
+                                      NumericalParams(n_traj=1))
+        series = solve_oracle(params, num)
+        liouv = build_liouvillian(params)
+        y0 = np.zeros(liouv.generator.shape[0], dtype=complex)
+        y0[0] = 1.0
+        t = series.times
+        ys = expm_multiply(liouv.generator, y0, start=t[0], stop=t[-1], num=len(t),
+                           endpoint=True)
+        populations = ys[:, liouv.diagonal].real
+        basis = liouv.basis
+        sz = populations @ (basis.excited_atoms[liouv.states] - 0.5 * n_atoms)
+        photon = populations @ basis.photons[liouv.states]
+        assert np.max(np.abs(series.sz_mean - sz)) <= tol
+        assert np.max(np.abs(series.photon_mean - photon)) <= tol
 
 
 class TestGoldenReference:
