@@ -32,7 +32,6 @@ class IncomparableReportsError(ValueError):
 class EmissionMeasurement:
     intensity: float            # units of the active decay rate times atoms
     t0: float
-    method: str = "max-slope"
     smoothing_window: int = 5
 
 

@@ -28,6 +28,18 @@ given and keep no state of their own, so blocks can run concurrently.  The
 state, drift and noise buffers keep the memory order of the model's
 sample_initial blocks (row-major for the collective TWA, column-major for
 the DTWA); the Wiener buffer is row-major, one row per trajectory.
+
+The thread budget, os.cpu_count() or CAVITY_SR_MAX_WORKERS when set, caps
+every engine thread.  Blocks take one thread each, up to the budget.  When
+the budget also has a second thread for every block, each block's Wiener
+increments are drawn on a producer thread: it draws each chunk's stream
+several steps at once and fills the next (steps, rows, noise_dim) batch of
+increments, scaled by sqrt(dt), while the block's thread integrates the
+current one.  A producer holds two batches of at most BATCH_BYTES each (one
+step, if a step is larger) and one chunk's share of a batch.  Otherwise the
+block's own thread draws one step at a time into its Wiener buffer.  Either
+way each chunk's stream is consumed in the same order, so the output bits do
+not depend on who draws.
 """
 
 from __future__ import annotations
@@ -52,6 +64,9 @@ KEYS = ("sz", "photon")
 # blocks amortize the per-call overhead of the model kernels; this size keeps
 # a block's state, drift, noise and Wiener buffers within a core's L2 cache.
 BLOCK_BYTES = 256 * 1024
+# Bytes of one batch of Wiener increments that a producer thread draws ahead;
+# a block double-buffers two batches.
+BATCH_BYTES = 1024 * 1024
 
 
 class EnsembleDivergenceError(RuntimeError):
@@ -71,6 +86,8 @@ class EnsembleModel:
     drift(y, out) writes the time derivative into out (shaped like y);
     noise(y, dW, out) writes the stochastic increment into out, for a
     row-major dW of shape (n_traj, noise_dim) already scaled to variance dt;
+    dW may be a view into a batch of increments drawn ahead: it is
+    read-only, and valid for that call only;
     observables(y) -> {"sz": (n_traj,), "photon": (n_traj,)}.
 
     The out and dW buffers belong to one block of chunks: run_ensemble
@@ -86,16 +103,14 @@ class EnsembleModel:
     observables: Callable[[np.ndarray], Dict[str, np.ndarray]]
 
 
-def _worker_count(n_blocks: int) -> int:
+def _thread_budget() -> int:
     cap = os.environ.get(MAX_WORKERS_ENV)
     if not cap:
-        workers = os.cpu_count() or 1
-    elif cap.isdecimal() and int(cap) >= 1:
-        workers = int(cap)
-    else:
-        raise ConfigurationError(
-            [f"{MAX_WORKERS_ENV} must be an integer >= 1, got {cap!r}"])
-    return min(workers, n_blocks)
+        return os.cpu_count() or 1
+    if cap.isdecimal() and int(cap) >= 1:
+        return int(cap)
+    raise ConfigurationError(
+        [f"{MAX_WORKERS_ENV} must be an integer >= 1, got {cap!r}"])
 
 
 def _moments(x: np.ndarray, shapes):
@@ -115,8 +130,62 @@ def _moments(x: np.ndarray, shapes):
     return np.concatenate(means, axis=-1), np.concatenate(m2s, axis=-1)
 
 
+def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, scratch=None):
+    """Fill a (steps, rows, noise_dim) batch with the block's next steps of
+    Wiener increments, scaled by sqrt_dt.
+
+    Chunk j owns rows bounds[j]:bounds[j + 1] and draws all the batch's steps
+    from rngs[j] in one call, in C order, the order in which one draw per
+    step would consume the stream.  A chunk's rows are contiguous in a
+    one-step batch or a one-chunk block, and take the draw in place;
+    otherwise each chunk draws into the flat scratch buffer, and is scaled
+    on its way into the batch.
+    """
+    chunks = zip(rngs, bounds[:-1], bounds[1:])
+    if len(batch) == 1 or len(rngs) == 1:
+        for rng, lo, hi in chunks:
+            rng.standard_normal(out=batch[:, lo:hi])
+        batch *= sqrt_dt
+        return
+    for rng, lo, hi in chunks:
+        out = batch[:, lo:hi]
+        drawn = scratch[:out.size].reshape(out.shape)
+        rng.standard_normal(out=drawn)
+        np.multiply(drawn, sqrt_dt, out=out)
+
+
+def _increments(rngs, bounds, noise_dim: int, dt: float, nsteps: int, ahead: bool):
+    """Generator of the block's nsteps Wiener increments, one (rows,
+    noise_dim) array per step, valid until the next one is taken; with
+    ahead, a producer thread fills the next batch while the caller steps
+    through the current one.  Close it to stop the producer."""
+    sqrt_dt = np.sqrt(dt)
+    if not ahead:
+        dW = np.empty((1, bounds[-1], noise_dim))
+        for _ in range(nsteps):
+            _fill(rngs, bounds, dW, sqrt_dt)
+            yield dW[0]
+        return
+    per = min(nsteps, max(1, BATCH_BYTES // max(1, 8 * bounds[-1] * noise_dim)))
+    batches = np.empty((2, per, bounds[-1], noise_dim))
+    scratch = np.empty(per * CHUNK_SIZE * noise_dim)
+    starts = range(0, nsteps, per)
+    with ThreadPoolExecutor(max_workers=1) as producer:
+        def draw(k):
+            batch = batches[k % 2, :min(per, nsteps - starts[k])]
+            return batch, producer.submit(_fill, rngs, bounds, batch, sqrt_dt, scratch)
+
+        pending = draw(0)
+        for k in range(len(starts)):
+            batch, filled = pending
+            filled.result()
+            if k + 1 < len(starts):
+                pending = draw(k + 1)
+            yield from batch
+
+
 def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
-               dt: float, nsteps: int, stride: int, keep=None):
+               dt: float, nsteps: int, stride: int, ahead: bool, keep=None):
     """Integrate the consecutive chunks first, first + 1, ... as one state
     block.
 
@@ -125,15 +194,14 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     from its own stream, so every trajectory has the bits it has when its
     chunk runs alone.  keep (one chunk only) leaves trajectories out of the
     reduction; without it, a chunk with a non-finite trajectory has
-    non-finite statistics.
+    non-finite statistics.  ahead draws the Wiener increments on a producer
+    thread.
     """
     rngs = [chunk_stream(master_seed, first + j) for j in range(len(sizes))]
     y = np.concatenate([model.sample_initial(n, rng) for n, rng in zip(sizes, rngs)])
     drift = np.empty_like(y)
     noise = np.empty_like(y)
-    dW = np.empty((len(y), model.noise_dim))
-    bounds = np.cumsum([0] + sizes)
-    draws = [dW[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    bounds = np.cumsum([0] + sizes).tolist()
     if keep is None:
         full = len(sizes) - (sizes[-1] != CHUNK_SIZE)
         shapes = [(full, CHUNK_SIZE)] + [(1, sizes[-1])] * (full < len(sizes))
@@ -147,32 +215,33 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     depth = min(n_rec, max(1, BLOCK_BYTES // (8 * len(KEYS) * len(y))))
     rec = np.empty((depth, len(KEYS), len(y)))
     finite = np.ones(len(y), dtype=bool)
-    sqrt_dt = np.sqrt(dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(nsteps + 1):
-            if step % stride == 0:
-                k = step // stride
-                j = k % depth
-                obs = model.observables(y)
-                for i, key in enumerate(KEYS):
-                    rec[j, i] = obs[key]
-                if j == depth - 1 or k == n_rec - 1:
-                    batch = rec[:j + 1]
-                    finite &= np.isfinite(batch).all(axis=(0, 1))
-                    mean[k - j:k + 1], m2[k - j:k + 1] = _moments(
-                        batch if keep is None else batch[..., keep], shapes)
-            if step == nsteps:
-                break
-            for rng, out in zip(rngs, draws):
-                rng.standard_normal(out=out)
-            dW *= sqrt_dt
-            # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place: strong
-            # order 0.5, weak order 1
-            model.drift(y, drift)
-            model.noise(y, dW, noise)
-            drift *= dt
-            y += drift
-            y += noise
+    increments = _increments(rngs, bounds, model.noise_dim, dt, nsteps, ahead)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(nsteps + 1):
+                if step % stride == 0:
+                    k = step // stride
+                    j = k % depth
+                    obs = model.observables(y)
+                    for i, key in enumerate(KEYS):
+                        rec[j, i] = obs[key]
+                    if j == depth - 1 or k == n_rec - 1:
+                        batch = rec[:j + 1]
+                        finite &= np.isfinite(batch).all(axis=(0, 1))
+                        mean[k - j:k + 1], m2[k - j:k + 1] = _moments(
+                            batch if keep is None else batch[..., keep], shapes)
+                if step == nsteps:
+                    break
+                dW = next(increments)
+                # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place:
+                # strong order 0.5, weak order 1
+                model.drift(y, drift)
+                model.noise(y, dW, noise)
+                drift *= dt
+                y += drift
+                y += noise
+    finally:
+        increments.close()
     finite &= np.isfinite(y).all(axis=1)
     counts = [rows for chunks, rows in shapes for _ in range(chunks)]
     stats = [{key: (n, mean[:, i, j], m2[:, i, j]) for i, key in enumerate(KEYS)}
@@ -181,7 +250,7 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
 
 
 def _run_chunks(model: EnsembleModel, first: int, sizes: list, master_seed: int,
-                dt: float, nsteps: int, stride: int):
+                dt: float, nsteps: int, stride: int, ahead: bool):
     """Per-chunk statistics of one block and its number of divergent
     trajectories.
 
@@ -189,13 +258,14 @@ def _run_chunks(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     divergent rows left out of the reduction; that is rare, and cheaper than
     keeping every trajectory's record history for it.
     """
-    stats, finite = _run_block(model, first, sizes, master_seed, dt, nsteps, stride)
+    stats, finite = _run_block(model, first, sizes, master_seed, dt, nsteps, stride,
+                               ahead)
     for j, keep in enumerate(finite):
         if keep.all():
             continue
         if keep.any():
             stats[j] = _run_block(model, first + j, [sizes[j]], master_seed,
-                                  dt, nsteps, stride, keep)[0][0]
+                                  dt, nsteps, stride, ahead, keep)[0][0]
         else:
             stats[j] = {key: (0, mean, m2) for key, (_, mean, m2) in stats[j].items()}
     return stats, sum(int(len(keep) - keep.sum()) for keep in finite)
@@ -234,11 +304,15 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
     per_block = max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * model.state_dim))
     firsts = range(0, len(sizes), per_block)
 
+    budget = _thread_budget()
+    workers = min(budget, len(firsts))
+    # a producer per block draws ahead when the budget has a thread for it
+    ahead = budget >= 2 * len(firsts)
+
     def job(first):
         return _run_chunks(model, first, sizes[first:first + per_block],
-                           num.seed, num.dt, nsteps, stride)
+                           num.seed, num.dt, nsteps, stride, ahead)
 
-    workers = _worker_count(len(firsts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, firsts))

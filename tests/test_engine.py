@@ -1,12 +1,16 @@
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from cavity_sr import (ConfigurationError, EnsembleDivergenceError,
-                       EnsembleModel, NumericalParams, individual_params,
-                       run_ensemble)
-from cavity_sr.engine import KEYS, MAX_WORKERS_ENV, _merge
+                       EnsembleModel, NumericalParams, collective_params,
+                       individual_params, run_ensemble)
+from cavity_sr import engine
+from cavity_sr.collective import collective_twa_model
+from cavity_sr.engine import BATCH_BYTES, KEYS, MAX_WORKERS_ENV, _merge
 from cavity_sr.individual import individual_dtwa_model
 from cavity_sr.series import time_grid
 from cavity_sr.wiener import CHUNK_SIZE, chunk_stream
@@ -183,9 +187,10 @@ def test_engine_keeps_the_model_layout():
                                       getattr(runs["C"], field).view(np.uint64))
 
 
-def divergent_model(fraction):
+def divergent_model(fraction, sigma=None):
     """Blows up trajectories whose initial marker exceeds 1 - fraction; the
-    others decay from a random sz, so their per-chunk sums depend on order."""
+    others decay from a random sz, so their per-chunk sums depend on order.
+    With sigma, sz also takes additive noise sigma dW."""
     def sample(n, rng):
         y = np.empty((n, 2))
         y[:, 0] = rng.standard_normal(n)
@@ -196,8 +201,13 @@ def divergent_model(fraction):
         out[:] = 0.0
         out[:, 0] = np.where(y[:, 1] > 1 - fraction, np.inf, -y[:, 0])
 
-    return EnsembleModel(state_dim=2, noise_dim=0, sample_initial=sample, drift=drift,
-                         noise=lambda y, dW, out: np.multiply(0.0, y, out=out),
+    def noise(y, dW, out):
+        np.multiply(0.0, y, out=out)
+        if sigma is not None:
+            np.multiply(sigma, dW[:, 0], out=out[:, 0])
+
+    return EnsembleModel(state_dim=2, noise_dim=int(sigma is not None),
+                         sample_initial=sample, drift=drift, noise=noise,
                          observables=lambda y: {"sz": y[:, 0], "photon": y[:, 1]})
 
 
@@ -277,6 +287,129 @@ def test_online_reduction_matches_history_reduction(fraction):
         n, ref_mean, m2 = totals[key]
         np.testing.assert_array_equal(mean, ref_mean)
         np.testing.assert_array_equal(sem, np.sqrt(m2 / (n - 1) / n))
+
+
+def spy_fills(monkeypatch):
+    """Record the thread of every engine._fill call."""
+    threads, fill = [], engine._fill
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return fill(*args, **kwargs)
+    monkeypatch.setattr(engine, "_fill", spy)
+    return threads
+
+
+def drew_ahead(threads):
+    """True if every recorded fill ran off the calling thread, False if
+    every one ran on it."""
+    on_caller = {ident == threading.get_ident() for ident in threads}
+    assert len(on_caller) == 1
+    return not on_caller.pop()
+
+
+def test_drawing_ahead_gives_the_same_bits(monkeypatch):
+    # one block of a full and a partial chunk; the cap of 2 leaves a thread
+    # for the producer, and the last batch of increments is a short one
+    params = collective_params(20, g=4.0, kappa=10.0)
+    num = NumericalParams(n_traj=300, seed=2, dt=1e-3, t_max=0.2)
+    model = collective_twa_model(params, num)
+    nsteps = time_grid(num.dt, num.t_max)[0]
+    per = BATCH_BYTES // (8 * num.n_traj * model.noise_dim)
+    assert nsteps > 2 * per and nsteps % per
+    threads = spy_fills(monkeypatch)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # hand the interpreter lock over often
+    try:
+        for workers in ("1", "2"):
+            monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+            threads.clear()
+            runs[workers] = run_ensemble(model, params, num)
+            ahead = workers == "2"
+            assert drew_ahead(threads) == ahead
+            assert len(threads) == (-(-nsteps // per) if ahead else nsteps)
+    finally:
+        sys.setswitchinterval(interval)
+    for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
+        np.testing.assert_array_equal(getattr(runs["1"], field), getattr(runs["2"], field))
+
+
+@pytest.mark.filterwarnings("ignore:excluded")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_rerun_of_divergent_chunks_matches_history_reduction(monkeypatch, workers):
+    # both chunks of the one block hold a divergent trajectory and run again
+    # alone, each with its own producer under the cap of 2
+    monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+    threads = spy_fills(monkeypatch)
+    params = individual_params(n_atoms=1)
+    num = NumericalParams(n_traj=300, seed=5, dt=0.01, t_max=0.5)
+    model = divergent_model(0.02, sigma=0.3)
+    series = run_ensemble(model, params, num)
+    assert drew_ahead(threads) == (workers == "2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, n_div = history_reduction(model, num)
+    assert series.n_divergent == n_div > 1
+    for key, mean, sem in (("sz", series.sz_mean, series.sz_sem),
+                           ("photon", series.photon_mean, series.photon_sem)):
+        n, ref_mean, m2 = totals[key]
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(sem, np.sqrt(m2 / (n - 1) / n))
+
+
+class RaisingStream:
+    """A chunk stream whose draws with out= fail once the stream has made
+    `after` of them; other calls pass through."""
+
+    def __init__(self, rng, after):
+        self._rng, self._left = rng, after
+
+    def __getattr__(self, attr):
+        return getattr(self._rng, attr)
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        if out is not None:
+            if self._left == 0:
+                raise FloatingPointError("draw failed")
+            self._left -= 1
+        return self._rng.standard_normal(*args, out=out, **kwargs)
+
+
+def failing_drift_model(after):
+    """ou_model whose drift raises on its call number `after`."""
+    model, calls = ou_model(0.5), []
+
+    def drift(y, out):
+        calls.append(None)
+        if len(calls) == after:
+            raise FloatingPointError("drift failed")
+        model.drift(y, out)
+    return EnsembleModel(state_dim=1, noise_dim=1, sample_initial=model.sample_initial,
+                         drift=drift, noise=model.noise, observables=model.observables)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fails", ["drift", "draw"])
+def test_failure_propagates_and_stops_the_producer(monkeypatch, workers, fails):
+    monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+    threads = spy_fills(monkeypatch)
+    # 600 one-float trajectories: one block of three chunks.  Each stream's
+    # fourth draw fails, mid-run both one step at a time and when the
+    # producer draws a batch of steps at once
+    num = NumericalParams(n_traj=600, seed=1, dt=1e-3, t_max=1.0)
+    assert 3 * (BATCH_BYTES // (8 * num.n_traj)) < time_grid(num.dt, num.t_max)[0]
+    if fails == "draw":
+        model = ou_model(0.5)
+        stream = engine.chunk_stream
+        monkeypatch.setattr(engine, "chunk_stream",
+                            lambda seed, index: RaisingStream(stream(seed, index), 3))
+    else:
+        model = failing_drift_model(40)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"{fails} failed"):
+        run_ensemble(model, individual_params(n_atoms=1), num)
+    assert threading.active_count() == before
+    assert drew_ahead(threads) == (workers == "2")
 
 
 def test_dtwa_free_decay_matches_exact_solution():
