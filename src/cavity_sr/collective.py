@@ -59,14 +59,17 @@ def _drift(alpha, beta, eta, params: SystemParams):
 
 
 def _noise(alpha, beta, eta, dW, params: SystemParams):
-    """Stochastic increments for dW columns (dW1..dW6) of variance dt."""
+    """Stochastic increments for dW columns (dW1..dW6) of variance dt, the
+    last axis of dW and contiguous: the column pairs are viewed as the
+    complex increments dW1 + i dW2, dW3 + i dW4 and dW5 + i dW6."""
     gam, kap = params.gamma_col, params.kappa
     amp_a = np.sqrt(np.maximum(gam * (np.abs(beta) ** 2 + 0.5), 0.0) / 2.0)
     amp_b = np.sqrt(np.maximum(gam * (np.abs(alpha) ** 2 - 0.5), 0.0) / 2.0)
     amp_h = np.sqrt(kap / 2.0)
-    d_alpha = amp_a * (dW[..., 0] + 1j * dW[..., 1])
-    d_beta = amp_b * (dW[..., 2] + 1j * dW[..., 3])
-    d_eta = amp_h * (dW[..., 4] + 1j * dW[..., 5])
+    w = dW.view(complex)
+    d_alpha = amp_a * w[..., 0]
+    d_beta = amp_b * w[..., 1]
+    d_eta = amp_h * w[..., 2]
     return d_alpha, d_beta, d_eta
 
 

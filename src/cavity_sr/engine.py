@@ -29,15 +29,17 @@ state, drift and noise buffers keep the memory order of the model's
 sample_initial blocks (row-major for the collective TWA, column-major for
 the DTWA); the Wiener buffer is row-major, one row per trajectory.
 
-The thread budget, os.cpu_count() or CAVITY_SR_MAX_WORKERS when set, caps
-every engine thread.  Blocks take one thread each, up to the budget.  When
-the budget also has a second thread for every block, each block's Wiener
-increments are drawn on a producer thread: it draws each chunk's stream
-several steps at once and fills the next (steps, rows, noise_dim) batch of
-increments, scaled by sqrt(dt), while the block's thread integrates the
-current one.  A producer holds two batches of at most BATCH_BYTES each (one
-step, if a step is larger) and one chunk's share of a batch.  Otherwise the
-block's own thread draws one step at a time into its Wiener buffer.  Either
+The thread budget, the number of CPUs the process may run on or
+CAVITY_SR_MAX_WORKERS when set, caps every engine thread.  Blocks take one
+thread each, up to the budget.  A run of one block with a budget of two or
+more draws its Wiener increments on a producer thread: it draws each chunk's
+stream several steps at once and fills the next (steps, rows, noise_dim)
+batch of increments, scaled by sqrt(dt), while the block's thread integrates
+the current one.  The producer holds two batches of at most BATCH_BYTES each
+(one step, if a step is larger) and one chunk's share of a batch.  Otherwise
+each block's own thread draws one step at a time into its Wiener buffer; a
+producer per block of a run of several blocks is not shown to pay, and
+would add two batches per block to peak memory.  Either
 way each chunk's stream is consumed in the same order, so the output bits do
 not depend on who draws.
 """
@@ -65,7 +67,7 @@ KEYS = ("sz", "photon")
 # a block's state, drift, noise and Wiener buffers within a core's L2 cache.
 BLOCK_BYTES = 256 * 1024
 # Bytes of one batch of Wiener increments that a producer thread draws ahead;
-# a block double-buffers two batches.
+# it double-buffers two batches.
 BATCH_BYTES = 1024 * 1024
 
 
@@ -106,6 +108,8 @@ class EnsembleModel:
 def _thread_budget() -> int:
     cap = os.environ.get(MAX_WORKERS_ENV)
     if not cap:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if cap.isdecimal() and int(cap) >= 1:
         return int(cap)
@@ -136,13 +140,12 @@ def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, scratch=None):
 
     Chunk j owns rows bounds[j]:bounds[j + 1] and draws all the batch's steps
     from rngs[j] in one call, in C order, the order in which one draw per
-    step would consume the stream.  A chunk's rows are contiguous in a
-    one-step batch or a one-chunk block, and take the draw in place;
-    otherwise each chunk draws into the flat scratch buffer, and is scaled
-    on its way into the batch.
+    step would consume the stream.  A one-step batch takes each chunk's draw
+    in place; in a batch of several steps each chunk draws into the flat
+    scratch buffer, and is scaled on its way into the batch.
     """
     chunks = zip(rngs, bounds[:-1], bounds[1:])
-    if len(batch) == 1 or len(rngs) == 1:
+    if len(batch) == 1:
         for rng, lo, hi in chunks:
             rng.standard_normal(out=batch[:, lo:hi])
         batch *= sqrt_dt
@@ -306,8 +309,9 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
 
     budget = _thread_budget()
     workers = min(budget, len(firsts))
-    # a producer per block draws ahead when the budget has a thread for it
-    ahead = budget >= 2 * len(firsts)
+    # one block leaves the budget's other threads idle; one of them draws
+    # the block's increments ahead
+    ahead = len(firsts) == 1 and budget >= 2
 
     def job(first):
         return _run_chunks(model, first, sizes[first:first + per_block],

@@ -10,7 +10,8 @@ from cavity_sr import (ConfigurationError, EnsembleDivergenceError,
                        individual_params, run_ensemble)
 from cavity_sr import engine
 from cavity_sr.collective import collective_twa_model
-from cavity_sr.engine import BATCH_BYTES, KEYS, MAX_WORKERS_ENV, _merge
+from cavity_sr.engine import (BATCH_BYTES, BLOCK_BYTES, KEYS, MAX_WORKERS_ENV,
+                              _merge)
 from cavity_sr.individual import individual_dtwa_model
 from cavity_sr.series import time_grid
 from cavity_sr.wiener import CHUNK_SIZE, chunk_stream
@@ -333,6 +334,36 @@ def test_drawing_ahead_gives_the_same_bits(monkeypatch):
         sys.setswitchinterval(interval)
     for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
         np.testing.assert_array_equal(getattr(runs["1"], field), getattr(runs["2"], field))
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_budget_counts_only_the_cpus_the_process_may_run_on(monkeypatch, cpus):
+    # a machine of 64 CPUs, of which the process may use those in cpus
+    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    threads = spy_fills(monkeypatch)
+    params = collective_params(20, g=4.0, kappa=10.0)
+    num = NumericalParams(n_traj=300, seed=2, dt=1e-3, t_max=0.05)
+    run_ensemble(collective_twa_model(params, num), params, num)
+    assert drew_ahead(threads) == (len(cpus) > 1)
+
+
+def test_runs_of_several_blocks_draw_inline(monkeypatch):
+    # two one-chunk DTWA blocks, with threads to spare under the cap
+    monkeypatch.setenv(MAX_WORKERS_ENV, "8")
+    steps, fill = [], engine._fill
+
+    def spy(rngs, bounds, batch, *args):
+        steps.append(len(batch))
+        return fill(rngs, bounds, batch, *args)
+    monkeypatch.setattr(engine, "_fill", spy)
+    params = individual_params(n_atoms=50)
+    num = NumericalParams(n_traj=2 * CHUNK_SIZE, seed=3, dt=1e-3, t_max=0.02)
+    model = individual_dtwa_model(params, num)
+    assert BLOCK_BYTES < 2 * CHUNK_SIZE * 8 * model.state_dim     # one chunk a block
+    run_ensemble(model, params, num)
+    assert steps == [1] * (2 * time_grid(num.dt, num.t_max)[0])
 
 
 @pytest.mark.filterwarnings("ignore:excluded")
