@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .params import NumericalParams, SystemParams, validate_params
+from .params import NumericalParams, SystemParams, config_echo, validate_params
 from .runners import simulate_timeseries
 from .series import ObservableSeries
 
@@ -185,20 +185,8 @@ def scaling_sweep(solver: str, n_list: Sequence[int], params: SystemParams,
         dts.append(num_n.dt)
 
     fit = power_law_fit([(n, i) for n, i, _ in points])
-    config = {
-        "scheme": params.scheme,
-        "solver": solver,
-        "n_list": ns,
-        "dt": dts,
-        "t_max": num.t_max,
-        "n_traj": num.n_traj,
-        "seed": num.seed,
-        "smoothing_window": num.smoothing_window,
-        "g": params.g,
-        "kappa": params.kappa,
-        "gamma": params.gamma,
-        "detuning": params.detuning,
-    }
+    config = {**config_echo(params, num, solver), "n_list": ns, "dt": dts}
+    del config["n_atoms"]
     return ScalingReport(points=points, zeta=fit.zeta, intercept=fit.intercept,
                          r_squared=fit.r_squared, zeta_stderr=fit.zeta_stderr,
                          config=config, fingerprint=_fingerprint(config),

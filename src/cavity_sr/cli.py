@@ -24,8 +24,8 @@ from .analysis import (ConvergenceVerdict, IncomparableReportsError,
                        power_law_fit, scaling_sweep)
 from .fileio import (read_points_file, read_report, write_manifest, write_report,
                      write_timeseries)
-from .params import (ConfigurationError, NumericalParams, collective_params,
-                     individual_params, validate_params)
+from .params import (ConfigurationError, NumericalParams, SystemParams, config_echo,
+                     validate_params)
 from .runners import resolve_solver, simulate_timeseries
 
 
@@ -46,35 +46,17 @@ def _add_physics_flags(p: argparse.ArgumentParser):
 
 
 def _raw_config(args, n_atoms: int):
-    make = collective_params if args.scheme == "collective" else individual_params
-    params = make(n_atoms=n_atoms, g=args.g, kappa=args.kappa, gamma=args.gamma,
-                  detuning=args.detuning)
+    params = SystemParams(n_atoms, args.scheme, args.g, args.kappa, args.gamma,
+                          args.detuning)
     num = NumericalParams(n_traj=args.trajectories, seed=args.seed, dt=args.dt,
                           t_max=args.t_max, smoothing_window=args.smoothing_window)
     return params, num
 
 
-def _config_echo(params, num, solver) -> dict:
-    return {
-        "scheme": params.scheme,
-        "solver": solver,
-        "n_atoms": params.n_atoms,
-        "g": params.g,
-        "kappa": params.kappa,
-        "gamma": params.gamma,
-        "detuning": params.detuning,
-        "dt": num.dt,
-        "t_max": num.t_max,
-        "n_traj": num.n_traj,
-        "seed": num.seed,
-        "smoothing_window": num.smoothing_window,
-    }
-
-
 def _run(args, params, num, solve):
     """Resolve the solver and create --out, then time solve(solver), which
     returns (result, config, divergent count).  Returns the result, --out
-    and the manifest.json record; write_manifest fills in its outputs."""
+    and the manifest.json record; write_manifest adds its outputs."""
     solver = resolve_solver(params.scheme, args.solver)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,7 +69,6 @@ def _run(args, params, num, solve):
         "version": __version__,
         "n_divergent": n_divergent,
         "wall_clock_s": time.perf_counter() - start,
-        "outputs": {},
     }
 
 
@@ -96,7 +77,7 @@ def _cmd_simulate(args) -> int:
 
     def solve(solver):
         series = simulate_timeseries(solver, params, num)
-        return series, _config_echo(params, num, solver), series.n_divergent
+        return series, config_echo(params, num, solver), series.n_divergent
     series, out, manifest = _run(args, params, num, solve)
     csv = write_timeseries(series, out / "timeseries.csv")
     write_manifest(manifest, out, [csv])

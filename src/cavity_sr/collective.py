@@ -45,12 +45,12 @@ NOISE_DIM = 6
 
 def _require_collective(params: SystemParams):
     if params.scheme != SCHEME_COLLECTIVE:
-        raise ValueError("collective operations need params with gamma_col set")
+        raise ValueError("collective operations need params of the collective scheme")
 
 
 def _drift(alpha, beta, eta, params: SystemParams):
     """Drift field; elementwise over arrays or scalars."""
-    g, gam, kap = params.g, params.gamma_col, params.kappa
+    g, gam, kap = params.g, params.gamma, params.kappa
     d_alpha = -1j * g * beta * eta - gam * (np.abs(beta) ** 2 + 0.5) * alpha
     d_beta = -1j * g * alpha * np.conj(eta) + gam * (np.abs(alpha) ** 2 - 0.5) * beta
     d_eta = -1j * params.detuning * eta - 1j * g * alpha * np.conj(beta) \
@@ -62,7 +62,7 @@ def _noise(alpha, beta, eta, dW, params: SystemParams):
     """Stochastic increments for dW columns (dW1..dW6) of variance dt, the
     last axis of dW and contiguous: the column pairs are viewed as the
     complex increments dW1 + i dW2, dW3 + i dW4 and dW5 + i dW6."""
-    gam, kap = params.gamma_col, params.kappa
+    gam, kap = params.gamma, params.kappa
     amp_a = np.sqrt(np.maximum(gam * (np.abs(beta) ** 2 + 0.5), 0.0) / 2.0)
     amp_b = np.sqrt(np.maximum(gam * (np.abs(alpha) ** 2 - 0.5), 0.0) / 2.0)
     amp_h = np.sqrt(kap / 2.0)
@@ -124,7 +124,7 @@ def solve_meanfield_collective(params: SystemParams, num: NumericalParams) -> Ob
     runner would use (for pointwise comparisons); the cavity stays empty."""
     _require_collective(params)
     _, _, times = time_grid(num.dt, num.t_max)
-    gam, j = params.gamma_col, 0.5 * params.n_atoms
+    gam, j = params.gamma, 0.5 * params.n_atoms
     sol = solve_ivp(lambda t, sz: 2.0 * gam * (sz - j - 1.0) * (sz + j),
                     (times[0], times[-1]), [j], t_eval=times,
                     method="DOP853", rtol=1e-10, atol=1e-12)

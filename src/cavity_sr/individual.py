@@ -55,7 +55,7 @@ from .series import ObservableSeries, time_grid
 
 def _require_individual(params: SystemParams):
     if params.scheme != SCHEME_INDIVIDUAL:
-        raise ValueError("individual operations need params with gamma_ind set")
+        raise ValueError("individual operations need params of the individual scheme")
 
 
 def _sample_spins(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
@@ -76,7 +76,7 @@ def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> Ensembl
     distribution (<|eta|^2> = 1/2)."""
     _require_individual(params)
     n = params.n_atoms
-    g, gam, kap, det = params.g, params.gamma_ind, params.kappa, params.detuning
+    g, gam, kap, det = params.g, params.gamma, params.kappa, params.detuning
     amp = np.sqrt(2.0 * gam)
 
     def atom_sums(y, lo, k):
@@ -147,7 +147,7 @@ def solve_meanfield_individual(params: SystemParams, num: NumericalParams) -> Ob
     stochastic runner would use; S_z = (N/2) sigma_z and the cavity stays empty."""
     _require_individual(params)
     _, _, times = time_grid(num.dt, num.t_max)
-    gam = params.gamma_ind
+    gam = params.gamma
     sol = solve_ivp(lambda t, sigma_z: -2.0 * gam * (1.0 + sigma_z),
                     (times[0], times[-1]), [1.0], t_eval=times,
                     method="DOP853", rtol=1e-10, atol=1e-12)

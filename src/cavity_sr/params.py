@@ -4,14 +4,13 @@ Unit convention: the active atomic decay half-rate (Gamma for the collective
 scheme, gamma for the individual scheme) is the inverse time unit. All rates
 and frequencies are expressed in these units, e.g. g = 10 means g = 10*Gamma.
 Lindblad dissipators carry prefactors 2*kappa, 2*Gamma, 2*gamma; the
-configuration stores the half-rates kappa, Gamma, gamma.
+configuration stores the half-rates kappa and gamma (Gamma or gamma, by scheme).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
 
 SCHEME_COLLECTIVE = "collective"
 SCHEME_INDIVIDUAL = "individual"
@@ -29,27 +28,18 @@ class ConfigurationError(ValueError):
 class SystemParams:
     """Physical constants of the atom-cavity model.
 
-    Exactly one of gamma_col / gamma_ind must be set; it selects the emission
-    scheme (collective vs individual) and serves as the unit of inverse time.
-    The equations are written in the frame rotating at the atomic frequency,
-    so detuning (cavity minus atomic frequency) is the only frequency.
+    scheme is the emission channel, collective or individual; gamma is its
+    atomic decay half-rate and the unit of inverse time.  The equations are
+    written in the frame rotating at the atomic frequency, so detuning
+    (cavity minus atomic frequency) is the only frequency.
     """
 
     n_atoms: int
+    scheme: str
     g: float = 0.0
     kappa: float = 0.0
-    gamma_col: Optional[float] = None
-    gamma_ind: Optional[float] = None
+    gamma: float = 1.0
     detuning: float = 0.0
-
-    @property
-    def scheme(self) -> str:
-        return SCHEME_COLLECTIVE if self.gamma_col is not None else SCHEME_INDIVIDUAL
-
-    @property
-    def gamma(self) -> float:
-        """Active atomic decay half-rate."""
-        return self.gamma_col if self.gamma_col is not None else self.gamma_ind
 
 
 @dataclass(frozen=True)
@@ -62,8 +52,8 @@ class NumericalParams:
 
     n_traj: int = 2000
     seed: int = 0
-    dt: Optional[float] = None
-    t_max: Optional[float] = None
+    dt: float | None = None
+    t_max: float | None = None
     smoothing_window: int = 5
 
 
@@ -87,9 +77,9 @@ def default_time_step(params: SystemParams) -> float:
     collective rate (at g = 0 there is no N-dependent burst at all).
     """
     if params.scheme == SCHEME_COLLECTIVE:
-        rate = params.gamma_col * params.n_atoms
+        rate = params.gamma * params.n_atoms
         return min(1e-3, 0.05 / rate) if rate > 0 else 1e-3
-    rate = max(2.0 * params.gamma_ind, params.kappa, _cavity_collective_rate(params))
+    rate = max(2.0 * params.gamma, params.kappa, _cavity_collective_rate(params))
     return min(1e-3, 0.05 / rate) if rate > 0 else 1e-3
 
 
@@ -104,10 +94,10 @@ def default_horizon(params: SystemParams) -> float:
     """
     n = params.n_atoms
     if params.scheme == SCHEME_COLLECTIVE:
-        if params.gamma_col <= 0:
+        if params.gamma <= 0:
             return 1.0
-        return (4.0 * math.log(2 * n) + 10.0) / (2.0 * params.gamma_col * n)
-    gam = params.gamma_ind
+        return (4.0 * math.log(2 * n) + 10.0) / (2.0 * params.gamma * n)
+    gam = params.gamma
     rate = max(_cavity_collective_rate(params), 2.0 * gam)
     if rate <= 0:
         return 1.0
@@ -127,15 +117,13 @@ def _check_finite(owner, names, errors: list) -> None:
 def _check_system(p: SystemParams, errors: list) -> None:
     if int(p.n_atoms) < 1:
         errors.append("zero atoms: n_atoms must be >= 1")
-    _check_finite(p, ("g", "kappa", "gamma_col", "gamma_ind", "detuning"), errors)
-    for name in ("g", "kappa"):
+    if p.scheme not in (SCHEME_COLLECTIVE, SCHEME_INDIVIDUAL):
+        errors.append(f"unknown scheme {p.scheme!r}: must be "
+                      f"{SCHEME_COLLECTIVE!r} or {SCHEME_INDIVIDUAL!r}")
+    _check_finite(p, ("g", "kappa", "gamma", "detuning"), errors)
+    for name in ("g", "kappa", "gamma"):
         if getattr(p, name) < 0:
             errors.append(f"negative rate: {name} = {getattr(p, name)}")
-    active = [r for r in (p.gamma_col, p.gamma_ind) if r is not None]
-    if len(active) != 1:
-        errors.append("exactly one of gamma_col / gamma_ind must be set")
-    elif active[0] < 0:
-        errors.append(f"negative rate: atomic decay = {active[0]}")
 
 
 def _check_numerics(num: NumericalParams, errors: list) -> None:
@@ -179,12 +167,16 @@ def validate_params(params: SystemParams, num: NumericalParams):
 def collective_params(n_atoms: int, g: float = 0.0, kappa: float = 0.0,
                       gamma: float = 1.0, detuning: float = 0.0) -> SystemParams:
     """Collective-emission configuration in Gamma = gamma units."""
-    return SystemParams(n_atoms=n_atoms, g=g, kappa=kappa, gamma_col=gamma,
-                        detuning=detuning)
+    return SystemParams(n_atoms, SCHEME_COLLECTIVE, g, kappa, gamma, detuning)
 
 
 def individual_params(n_atoms: int, g: float = 0.0, kappa: float = 0.0,
                       gamma: float = 1.0, detuning: float = 0.0) -> SystemParams:
     """Individual-emission configuration in gamma units."""
-    return SystemParams(n_atoms=n_atoms, g=g, kappa=kappa, gamma_ind=gamma,
-                        detuning=detuning)
+    return SystemParams(n_atoms, SCHEME_INDIVIDUAL, g, kappa, gamma, detuning)
+
+
+def config_echo(params: SystemParams, num: NumericalParams, solver: str) -> dict:
+    """The run configuration as recorded in manifest.json and report.json:
+    every field of params and num, and the resolved solver."""
+    return {**asdict(params), **asdict(num), "solver": solver}

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_POINTS = 1201
+
 
 @dataclass
 class ObservableSeries:
@@ -37,14 +39,15 @@ class ObservableSeries:
         return 2.0 * self.sz_mean / self.n_atoms
 
 
-def time_grid(dt: float, t_max: float, max_points: int = 1201):
+def time_grid(dt: float, t_max: float):
     """Integration step count, recording stride and recorded time grid.
 
-    The recorded grid is uniform with spacing stride*dt; nsteps is rounded up
-    to a stride multiple so the final step lands on the grid.
+    The recorded grid is uniform with spacing stride*dt and holds at most
+    MAX_POINTS points; nsteps is rounded up to a stride multiple so the
+    final step lands on the grid.
     """
     nsteps = max(1, int(round(t_max / dt)))
-    stride = max(1, -(-nsteps // (max_points - 1)))
+    stride = max(1, -(-nsteps // (MAX_POINTS - 1)))
     nsteps = -(-nsteps // stride) * stride
     times = np.arange(nsteps // stride + 1) * (stride * dt)
     return nsteps, stride, times

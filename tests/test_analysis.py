@@ -168,6 +168,18 @@ class TestScalingSweep:
             scaling_sweep("meanfield", [50, 100],
                           collective_params(50), NumericalParams())
 
+    # fingerprints recorded before the sweep config was built from the
+    # dataclasses; convergence_check compares these configs, so a change
+    # here changes which reports it accepts as comparable
+    @pytest.mark.parametrize("params, num, fingerprint", [
+        (collective_params(5, g=1.0, kappa=2.0), NumericalParams(), "91ecfda884520313"),
+        (individual_params(5, g=1.0, kappa=2.0, detuning=0.5),
+         NumericalParams(n_traj=7, seed=3), "1cd981bd52e25590"),
+    ], ids=["collective", "individual"])
+    def test_fingerprint_is_pinned(self, params, num, fingerprint):
+        report = scaling_sweep("meanfield", [5, 10, 20], params, num)
+        assert report.fingerprint == fingerprint
+
     @pytest.mark.parametrize("solver", ["twa", "stochastic"])
     def test_solver_must_be_resolved_for_the_scheme(self, solver):
         with pytest.raises(ValueError, match=f"no solver '{solver}' for the individual"):

@@ -89,6 +89,9 @@ class TestSimulate:
         assert manifest["outputs"]["timeseries.csv"] == digest
         assert manifest["config"]["n_atoms"] == 40
         assert manifest["config"]["dt"] is not None
+        assert set(manifest["config"]) == {
+            "scheme", "solver", "n_atoms", "g", "kappa", "gamma", "detuning",
+            "dt", "t_max", "n_traj", "seed", "smoothing_window"}
         sz_norm = read_columns(csv)[3]
         assert sz_norm[0] == pytest.approx(1.0)
 
@@ -170,7 +173,7 @@ class TestValidationAndExitCodes:
         (["simulate", "--solver", "meanfield", "--n-atoms", "10", "--dt", "nan"],
          "dt = nan"),
         (["simulate", "--solver", "meanfield", "--n-atoms", "10", "--gamma", "nan"],
-         "gamma_col = nan"),
+         "gamma = nan"),
         (["simulate", "--solver", "twa", "--n-atoms", "10", "--kappa", "nan"],
          "kappa = nan"),
         (["simulate", "--solver", "twa", "--n-atoms", "10", "--g", "inf"],
@@ -292,6 +295,18 @@ class TestSweepAndCheck:
         assert report.zeta == pytest.approx(exact.zeta, abs=0.01)
         manifest = json.loads((out / "manifest.json").read_text())
         assert "report.json" in manifest["outputs"]
+
+    def test_report_embeds_the_run_record_without_outputs(self, tmp_path, capsys):
+        # the run record is embedded before report.json exists; only
+        # manifest.json lists the digests of the files the run wrote
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--scheme", "collective", "--solver",
+                       "meanfield", "--n-list", "25,50,100", "--out", str(out)) == 0
+        embedded = json.loads((out / "report.json").read_text())["manifest"]
+        assert "outputs" not in embedded
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == ["report.json"]
+        assert {k: v for k, v in manifest.items() if k != "outputs"} == embedded
 
     def test_manifest_lists_only_files_the_run_wrote(self, tmp_path, capsys):
         out = tmp_path / "s"

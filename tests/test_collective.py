@@ -9,7 +9,8 @@ from cavity_sr.params import SystemParams
 
 
 def cparams(**kw):
-    defaults = dict(n_atoms=10, g=0.0, kappa=0.0, gamma_col=0.0, detuning=0.0)
+    defaults = dict(n_atoms=10, scheme="collective", g=0.0, kappa=0.0, gamma=0.0,
+                    detuning=0.0)
     defaults.update(kw)
     return SystemParams(**defaults)
 
@@ -48,13 +49,13 @@ class TestDrift:
 
     def test_vacuum_fluctuation_damping_of_alpha(self):
         # Gamma = 1, (alpha, beta, eta) = (2, 0, 0): d_alpha = -Gamma/2 * alpha... * (|b|^2+1/2)
-        d_alpha, d_beta, d_eta = drift_at(cparams(gamma_col=1.0), 2.0, 0.0, 0.0)
+        d_alpha, d_beta, d_eta = drift_at(cparams(gamma=1.0), 2.0, 0.0, 0.0)
         assert d_alpha == pytest.approx(-1.0)
         assert d_beta == 0 and d_eta == 0
 
     def test_generic_substitution(self):
         # independent symbolic substitution into the drift equations
-        p = cparams(detuning=1.0, g=1.0, gamma_col=0.5, kappa=0.5)
+        p = cparams(detuning=1.0, g=1.0, gamma=0.5, kappa=0.5)
         d_alpha, d_beta, d_eta = drift_at(p, 1.0, 1.0, 1.0)
         assert d_alpha == pytest.approx(-0.75 - 1.0j)
         assert d_beta == pytest.approx(0.25 - 1.0j)
@@ -62,7 +63,7 @@ class TestDrift:
 
     def test_generic_complex_point(self):
         # frozen CAS values at a non-symmetric phase-space point
-        p = cparams(detuning=3.0, g=1.5, gamma_col=0.75, kappa=0.4)
+        p = cparams(detuning=3.0, g=1.5, gamma=0.75, kappa=0.4)
         d_alpha, d_beta, d_eta = drift_at(p, 0.5 + 2j, -1 + 1j / 3, 0.25 - 1j)
         assert d_alpha == pytest.approx(1.0208333333333335 - 2.5416666666666665j)
         assert d_beta == pytest.approx(-1.3125 + 3.75j)
@@ -76,20 +77,20 @@ class TestNoise:
 
     def test_negative_radicand_clamped(self):
         # |alpha|^2 = 0.25 -> Gamma(|alpha|^2 - 1/2) < 0 -> beta noise clamped
-        d_alpha, d_beta, _ = noise_at(cparams(gamma_col=1.0), 0.5, 1.0, 0.0,
+        d_alpha, d_beta, _ = noise_at(cparams(gamma=1.0), 0.5, 1.0, 0.0,
                                       np.ones(6))
         assert d_beta == 0
         assert abs(d_alpha) > 0
 
     def test_alpha_noise_amplitude(self):
         # Gamma = 1, beta = 0, dW = (1,0,0,0,0,0): delta alpha = sqrt(1/4) = 0.5
-        d_alpha, _, _ = noise_at(cparams(gamma_col=1.0), 1.0, 0.0, 0.0,
+        d_alpha, _, _ = noise_at(cparams(gamma=1.0), 1.0, 0.0, 0.0,
                                  [1.0, 0, 0, 0, 0, 0])
         assert d_alpha == pytest.approx(0.5)
 
     def test_amplitudes_always_real_nonnegative(self):
         rng = np.random.default_rng(0)
-        p = cparams(gamma_col=1.3, kappa=0.7)
+        p = cparams(gamma=1.3, kappa=0.7)
         for _ in range(200):
             a, b, h = rng.standard_normal(6).view(complex)
             d = noise_at(p, a, b, h, np.ones(6))

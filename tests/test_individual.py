@@ -10,7 +10,8 @@ from cavity_sr.params import SystemParams
 
 
 def iparams(**kw):
-    defaults = dict(n_atoms=1, g=0.0, kappa=0.0, gamma_ind=0.0, detuning=0.0)
+    defaults = dict(n_atoms=1, scheme="individual", g=0.0, kappa=0.0, gamma=0.0,
+                    detuning=0.0)
     defaults.update(kw)
     return SystemParams(**defaults)
 
@@ -63,7 +64,7 @@ def spin_state(sx, sy, sz):
 class TestDrift:
     def test_decay_rate_at_full_excitation(self):
         gam = 0.7
-        d_spins, _ = drift_at(iparams(gamma_ind=gam), spin_state(0, 0, 1))
+        d_spins, _ = drift_at(iparams(gamma=gam), spin_state(0, 0, 1))
         assert d_spins[0, 2] == pytest.approx(-4 * gam)
 
     def test_cavity_coupling_heisenberg_signs(self):
@@ -75,7 +76,7 @@ class TestDrift:
         assert d_eta == 0
 
     def test_generic_point_frozen_cas_values(self):
-        p = iparams(g=1.5, gamma_ind=2 / 3)
+        p = iparams(g=1.5, gamma=2 / 3)
         d_spins, _ = drift_at(p, spin_state(0.5, -1 / 3, 0.8), eta=0.25 - 0.5j)
         np.testing.assert_allclose(
             d_spins[0],
@@ -90,7 +91,7 @@ class TestDrift:
 
     def test_spin_derivatives_are_real(self):
         rng = np.random.default_rng(1)
-        p = iparams(g=2.0, gamma_ind=0.5, kappa=3.0, detuning=2.0)
+        p = iparams(g=2.0, gamma=0.5, kappa=3.0, detuning=2.0)
         spins = rng.standard_normal((5, 3))
         d_spins, _ = drift_at(p, spins, eta=0.3 - 0.8j)
         assert d_spins.dtype == np.float64
@@ -112,17 +113,17 @@ class TestNoise:
         np.testing.assert_array_equal(d_spins, 0)
 
     def test_ground_state_is_noise_free_in_z(self):
-        d_spins, _ = noise_at(iparams(gamma_ind=1.0), spin_state(0, 0, -1), np.ones(3))
+        d_spins, _ = noise_at(iparams(gamma=1.0), spin_state(0, 0, -1), np.ones(3))
         assert d_spins[0, 2] == 0
 
     def test_substitution_example(self):
         # spin (1,0,1), gamma=1/2, dW=1: (0, 1, 2)
-        d_spins, _ = noise_at(iparams(gamma_ind=0.5), spin_state(1, 0, 1), np.ones(3))
+        d_spins, _ = noise_at(iparams(gamma=0.5), spin_state(1, 0, 1), np.ones(3))
         np.testing.assert_allclose(d_spins[0], [0.0, 1.0, 2.0], atol=1e-14)
 
     def test_shared_increment_per_atom(self):
         # both spin components of one atom see the same dW_i
-        p = iparams(n_atoms=2, gamma_ind=0.5)
+        p = iparams(n_atoms=2, gamma=0.5)
         spins = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         d_spins, _ = noise_at(p, spins, np.array([1.0, -1.0, 0, 0]))
         assert d_spins[0, 1] == -d_spins[1, 1]
@@ -192,7 +193,7 @@ def row_major_kernels(p, y, dW):
     sx, sy, sz = y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n]
     eta = y[:, 3 * n] + 1j * y[:, 3 * n + 1]
     re, im = eta.real[:, None], eta.imag[:, None]
-    g, gam, amp = p.g, p.gamma_ind, np.sqrt(2.0 * p.gamma_ind)
+    g, gam, amp = p.g, p.gamma, np.sqrt(2.0 * p.gamma)
     d_eta = (-1j * p.detuning * eta - p.kappa * eta
              - 0.5j * g * (sx.sum(axis=-1) - 1j * sy.sum(axis=-1)))
     n_eta = np.sqrt(p.kappa / 2.0) * (dW[:, n] + 1j * dW[:, n + 1])
@@ -209,7 +210,7 @@ def row_major_kernels(p, y, dW):
 class TestMemoryOrder:
     # couplings that are not powers of two, so a reassociated product
     # rounds differently
-    PARAMS = dict(g=1.5, gamma_ind=0.7, kappa=3.0, detuning=0.7)
+    PARAMS = dict(g=1.5, gamma=0.7, kappa=3.0, detuning=0.7)
 
     @classmethod
     def stepped_block(cls, n_atoms):

@@ -28,24 +28,23 @@ def test_zero_atoms_rejected():
 
 
 def test_all_violations_reported_together():
-    params = SystemParams(n_atoms=0, g=-1.0, kappa=-2.0, gamma_col=1.0)
+    params = SystemParams(n_atoms=0, scheme="collective", g=-1.0, kappa=-2.0,
+                          gamma=-1.0)
     num = NumericalParams(n_traj=0, dt=2.0, t_max=1.0, smoothing_window=4)
     with pytest.raises(ConfigurationError) as err:
         validate_params(params, num)
     messages = " ".join(err.value.errors)
-    assert len(err.value.errors) >= 5
+    assert len(err.value.errors) >= 6
     assert "zero atoms" in messages
     assert "g" in messages and "kappa" in messages
+    assert "negative rate: gamma = -1.0" in messages
     assert "exceeds t_max" in messages
     assert "smoothing window" in messages
 
 
-def test_both_decay_channels_rejected():
-    params = SystemParams(n_atoms=2, gamma_col=1.0, gamma_ind=1.0)
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        validate_params(params, NumericalParams())
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        validate_params(SystemParams(n_atoms=2), NumericalParams())
+def test_unknown_scheme_rejected():
+    with pytest.raises(ConfigurationError, match="unknown scheme 'both'"):
+        validate_params(SystemParams(2, "both"), NumericalParams())
 
 
 def test_even_smoothing_window_rejected():
@@ -78,8 +77,8 @@ def test_bad_numerics_are_rejected_naming_the_field(field, value, message):
 
 
 def test_validation_idempotent():
-    params = SystemParams(n_atoms=50, g=2.0, kappa=20.0, gamma_ind=1.0,
-                          detuning=3.0)
+    params = SystemParams(n_atoms=50, scheme="individual", g=2.0, kappa=20.0,
+                          gamma=1.0, detuning=3.0)
     once = validate_params(params, NumericalParams(seed=9))
     twice = validate_params(*once)
     assert once == twice
