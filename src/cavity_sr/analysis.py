@@ -65,12 +65,9 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
         return values.copy()
     half = window // 2
     csum = np.concatenate([[0.0], np.cumsum(values)])
-    out = np.empty_like(values)
-    n = len(values)
-    for i in range(n):
-        w = min(half, i, n - 1 - i)
-        out[i] = (csum[i + w + 1] - csum[i - w]) / (2 * w + 1)
-    return out
+    i = np.arange(len(values))
+    w = np.minimum(half, np.minimum(i, len(values) - 1 - i))
+    return (csum[i + w + 1] - csum[i - w]) / (2 * w + 1)
 
 
 def emission_strength(series: ObservableSeries,

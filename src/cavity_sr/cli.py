@@ -26,7 +26,7 @@ from .fileio import (read_points_file, read_report, write_manifest, write_report
                      write_timeseries)
 from .params import (ConfigurationError, NumericalParams, SystemParams, config_echo,
                      validate_params)
-from .runners import resolve_solver, simulate_timeseries
+from .runners import SOLVERS, resolve_solver, simulate_timeseries
 
 
 def _add_physics_flags(p: argparse.ArgumentParser):
@@ -164,16 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one time-series simulation")
     _add_physics_flags(p_sim)
-    p_sim.add_argument("--solver", required=True,
-                       choices=["twa", "dtwa", "meanfield", "oracle"])
+    p_sim.add_argument("--solver", required=True, choices=SOLVERS)
     p_sim.add_argument("--n-atoms", type=int, required=True)
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="scaling sweep over atom numbers")
     _add_physics_flags(p_sweep)
-    p_sweep.add_argument("--solver", default="stochastic",
-                         choices=["stochastic", "meanfield"])
+    p_sweep.add_argument("--solver", default="stochastic", choices=SOLVERS)
     p_sweep.add_argument("--n-list", default="50,100,200,400",
                          help="comma-separated atom numbers")
     p_sweep.add_argument("--out", required=True, help="output directory")

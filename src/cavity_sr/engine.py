@@ -1,4 +1,4 @@
-"""Fixed-step Euler-Maruyama integrator and parallel trajectory-ensemble runner.
+"""Fixed-step Euler-Maruyama integrator and trajectory-ensemble runner.
 
 Trajectories fall into fixed-size chunks of CHUNK_SIZE, and each chunk
 samples its initial states and draws its Wiener increments from its own
@@ -6,7 +6,8 @@ stream, chunk_stream(seed, chunk index).  Whole consecutive chunks are
 integrated as one state block, so drift, noise and the Euler update run
 once per step on the block: narrow states (collective TWA, 6 floats) run
 all their chunks in one block, a wide DTWA state one chunk per block (see
-BLOCK_BYTES).  Blocks run on a thread pool.
+BLOCK_BYTES).  Blocks run one after another, in chunk order, on the calling
+thread.
 
 Statistics are reduced online to a per-chunk (count, mean, M2) per record,
 from a buffer of the latest records about the size of the state block, so
@@ -15,8 +16,8 @@ a chunk's trajectories in row order, the order in which a (records,
 trajectories) history reduced over its trajectory axis is summed, not
 numpy's pairwise order for contiguous data; so a chunk's statistics have
 the same bits whatever block it ran in.  The per-chunk accumulators are
-merged in chunk order with the pairwise mean/variance combination, so the
-output is bit-identical for any worker count.
+merged in chunk order with the pairwise mean/variance combination as each
+block returns.
 
 A trajectory that turns non-finite is excluded, but that is known only at
 the end of the run; a chunk that had one is integrated again alone, from
@@ -24,24 +25,22 @@ its own stream, with those trajectories left out of the reduction.
 
 Each block allocates its state, drift, noise and Wiener buffers once and
 updates them in place; the model callables write into the buffers they are
-given and keep no state of their own, so blocks can run concurrently.  The
-state, drift and noise buffers keep the memory order of the model's
-sample_initial blocks (row-major for the collective TWA, column-major for
-the DTWA); the Wiener buffer is row-major, one row per trajectory.
+given.  The state, drift and noise buffers keep the memory order of the
+model's sample_initial blocks (row-major for the collective TWA,
+column-major for the DTWA); the Wiener buffer is row-major, one row per
+trajectory.
 
 The thread budget, the number of CPUs the process may run on or
-CAVITY_SR_MAX_WORKERS when set, caps every engine thread.  Blocks take one
-thread each, up to the budget.  A run of one block with a budget of two or
-more draws its Wiener increments on a producer thread: it draws each chunk's
-stream several steps at once and fills the next (steps, rows, noise_dim)
-batch of increments, scaled by sqrt(dt), while the block's thread integrates
-the current one.  The producer holds two batches of at most BATCH_BYTES each
-(one step, if a step is larger) and one chunk's share of a batch.  Otherwise
-each block's own thread draws one step at a time into its Wiener buffer; a
-producer per block of a run of several blocks is not shown to pay, and
-would add two batches per block to peak memory.  Either
-way each chunk's stream is consumed in the same order, so the output bits do
-not depend on who draws.
+CAVITY_SR_MAX_WORKERS when set, caps every engine thread.  With a budget of
+two or more, each block draws its Wiener increments on one producer thread:
+it draws each chunk's stream several steps at once and fills the next
+(steps, rows, noise_dim) batch of increments, scaled by sqrt(dt), while the
+calling thread integrates the current one.  The producer holds two batches
+of at most BATCH_BYTES each (one step, if a step is larger) and one chunk's
+share of a batch, and stops when its block ends.  With a budget of one the
+calling thread draws one step at a time into the block's Wiener buffer.
+Either way each chunk's stream is consumed in the same order, so the output
+bits do not depend on who draws or on the budget.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ class EnsembleDivergenceError(RuntimeError):
 class EnsembleModel:
     """Vectorized trajectory model consumed by run_ensemble.
 
-    All callables operate on a (n_traj, state_dim) float64 state block y
-    and must be free of shared mutable state:
+    All callables operate on a (n_traj, state_dim) float64 state block y:
 
     sample_initial(n, rng) -> new state block, contiguous in the memory
     order the model's kernels prefer; the block run_ensemble steps, and its
@@ -299,10 +297,10 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
     """Ensemble mean and standard error of the model observables over
     num.n_traj trajectories.
 
-    The reduction order is fixed by chunk index, independent of parallel
-    scheduling: identical (seed, configuration) gives bit-identical output
-    for any thread count. Divergent (non-finite) trajectories are excluded
-    and counted; if all diverge the run fails.
+    The reduction runs in chunk index order: identical (seed,
+    configuration) gives bit-identical output for any thread budget.
+    Divergent (non-finite) trajectories are excluded and counted; if all
+    diverge the run fails.
     """
     nsteps, stride, times = time_grid(num.dt, num.t_max)
     sizes = [CHUNK_SIZE] * (num.n_traj // CHUNK_SIZE)
@@ -310,29 +308,17 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
         sizes.append(num.n_traj % CHUNK_SIZE)
 
     per_block = max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * model.state_dim))
-    firsts = range(0, len(sizes), per_block)
-
-    budget = _thread_budget()
-    workers = min(budget, len(firsts))
-    # one block leaves the budget's other threads idle; one of them draws
-    # the block's increments ahead
-    ahead = len(firsts) == 1 and budget >= 2
-
-    def job(first):
-        return _run_chunks(model, first, sizes[first:first + per_block],
-                           num.seed, num.dt, nsteps, stride, ahead)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, firsts))
-    else:
-        results = [job(first) for first in firsts]
-
-    n_div = sum(r[1] for r in results)
+    # the budget's second thread, if any, draws each block's increments ahead
+    ahead = _thread_budget() >= 2
+    n_div = 0
     totals = {k: (0, np.zeros(len(times)), np.zeros(len(times))) for k in KEYS}
-    for stats in (chunk for block, _ in results for chunk in block):
-        for key in totals:
-            totals[key] = _merge(totals[key], stats[key])
+    for first in range(0, len(sizes), per_block):
+        block, divergent = _run_chunks(model, first, sizes[first:first + per_block],
+                                       num.seed, num.dt, nsteps, stride, ahead)
+        n_div += divergent
+        for stats in block:
+            for key in totals:
+                totals[key] = _merge(totals[key], stats[key])
 
     n = totals["sz"][0]
     if n == 0:

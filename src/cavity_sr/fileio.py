@@ -12,6 +12,8 @@ import json
 from pathlib import Path
 from typing import List
 
+import numpy as np
+
 from .analysis import ScalingReport
 from .series import ObservableSeries
 
@@ -22,13 +24,10 @@ def write_timeseries(series: ObservableSeries, path) -> Path:
     """One row per grid point: t, sz_mean, sz_sem, sz_norm, photon_mean,
     photon_sem with sz_norm = 2*sz_mean/N."""
     path = Path(path)
-    rows = [TIMESERIES_HEADER]
-    norm = series.sz_norm
-    for i in range(len(series.times)):
-        rows.append(",".join("%.17g" % v for v in (
-            series.times[i], series.sz_mean[i], series.sz_sem[i],
-            norm[i], series.photon_mean[i], series.photon_sem[i])))
-    path.write_text("\n".join(rows) + "\n")
+    columns = np.column_stack([series.times, series.sz_mean, series.sz_sem,
+                               series.sz_norm, series.photon_mean, series.photon_sem])
+    np.savetxt(path, columns, fmt="%.17g", delimiter=",", header=TIMESERIES_HEADER,
+               comments="")
     return path
 
 

@@ -24,6 +24,8 @@ _SOLVE = {
     (SCHEME_COLLECTIVE, "oracle"): solve_oracle,
     (SCHEME_INDIVIDUAL, "oracle"): solve_oracle,
 }
+# the --solver choices of simulate and sweep
+SOLVERS = ("stochastic", *dict.fromkeys(solver for _, solver in _SOLVE))
 
 
 def resolve_solver(scheme: str, solver: str) -> str:

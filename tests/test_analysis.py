@@ -36,6 +36,20 @@ class TestMovingAverage:
         sm = moving_average(y, 3)
         assert sm[4] == pytest.approx(np.mean(y[3:6]))
 
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=60),
+           half=st.integers(1, 10))
+    @settings(max_examples=200)
+    def test_equals_the_per_point_loop_bit_for_bit(self, values, half):
+        # the reference is the per-point loop for windows of 3 or more
+        values = np.array(values)
+        csum = np.concatenate([[0.0], np.cumsum(values)])
+        n = len(values)
+        loop = np.empty(n)
+        for i in range(n):
+            w = min(half, i, n - 1 - i)
+            loop[i] = (csum[i + w + 1] - csum[i - w]) / (2 * w + 1)
+        np.testing.assert_array_equal(moving_average(values, 2 * half + 1), loop)
+
 
 class TestEmissionStrength:
     def test_linear_ramp(self):

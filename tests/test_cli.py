@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavity_sr import __version__
+from cavity_sr import NumericalParams, __version__, individual_params, scaling_sweep
 from cavity_sr.cli import cli_dispatch
 from cavity_sr.fileio import read_report, write_timeseries
 from cavity_sr.series import ObservableSeries
@@ -295,6 +295,15 @@ class TestSweepAndCheck:
         assert report.zeta == pytest.approx(exact.zeta, abs=0.01)
         manifest = json.loads((out / "manifest.json").read_text())
         assert "report.json" in manifest["outputs"]
+
+    def test_oracle_sweep_matches_the_python_sweep(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = run_cli("sweep", "--scheme", "individual", "--solver", "oracle",
+                       "--n-list", "2,3,4", "--g", "3", "--kappa", "3", "--out", str(out))
+        assert code == 0
+        expected = scaling_sweep("oracle", [2, 3, 4], individual_params(2, g=3.0, kappa=3.0),
+                                 NumericalParams())
+        assert read_report(out / "report.json").zeta == expected.zeta
 
     def test_report_embeds_the_run_record_without_outputs(self, tmp_path, capsys):
         # the run record is embedded before report.json exists; only

@@ -310,8 +310,8 @@ def drew_ahead(threads):
 
 
 def test_drawing_ahead_gives_the_same_bits(monkeypatch):
-    # one block of a full and a partial chunk; the cap of 2 leaves a thread
-    # for the producer, and the last batch of increments is a short one
+    # one block of a full and a partial chunk; under the cap of 2 its
+    # producer draws ahead, and the last batch of increments is a short one
     params = collective_params(20, g=4.0, kappa=10.0)
     num = NumericalParams(n_traj=300, seed=2, dt=1e-3, t_max=0.2)
     model = collective_twa_model(params, num)
@@ -349,21 +349,34 @@ def test_budget_counts_only_the_cpus_the_process_may_run_on(monkeypatch, cpus):
     assert drew_ahead(threads) == (len(cpus) > 1)
 
 
-def test_runs_of_several_blocks_draw_inline(monkeypatch):
-    # two one-chunk DTWA blocks, with threads to spare under the cap
-    monkeypatch.setenv(MAX_WORKERS_ENV, "8")
-    steps, fill = [], engine._fill
-
-    def spy(rngs, bounds, batch, *args):
-        steps.append(len(batch))
-        return fill(rngs, bounds, batch, *args)
-    monkeypatch.setattr(engine, "_fill", spy)
+def test_every_block_draws_ahead_on_one_producer(monkeypatch):
+    # two one-chunk DTWA blocks, run one after another, with threads to spare
+    # under the cap of 8
     params = individual_params(n_atoms=50)
     num = NumericalParams(n_traj=2 * CHUNK_SIZE, seed=3, dt=1e-3, t_max=0.02)
     model = individual_dtwa_model(params, num)
     assert BLOCK_BYTES < 2 * CHUNK_SIZE * 8 * model.state_dim     # one chunk a block
-    run_ensemble(model, params, num)
-    assert steps == [1] * (2 * time_grid(num.dt, num.t_max)[0])
+    nsteps = time_grid(num.dt, num.t_max)[0]
+    per = BATCH_BYTES // (8 * CHUNK_SIZE * model.noise_dim)
+    assert 1 < per < nsteps
+    fills, fill = [], engine._fill
+
+    def spy(rngs, bounds, batch, *args):
+        fills.append((threading.get_ident(), len(batch), threading.active_count()))
+        return fill(rngs, bounds, batch, *args)
+    monkeypatch.setattr(engine, "_fill", spy)
+    runs = {}
+    for workers in ("1", "8"):
+        monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+        fills.clear()
+        before = threading.active_count()
+        runs[workers] = run_ensemble(model, params, num)
+    assert all(ident != threading.get_ident() for ident, _, _ in fills)
+    block = [per] * (nsteps // per) + [nsteps % per] * (nsteps % per > 0)
+    assert [steps for _, steps, _ in fills] == 2 * block
+    assert max(alive for _, _, alive in fills) <= before + 1
+    for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
+        np.testing.assert_array_equal(getattr(runs["1"], field), getattr(runs["8"], field))
 
 
 @pytest.mark.filterwarnings("ignore:excluded")
