@@ -12,8 +12,7 @@ from .params import (ConfigurationError, NumericalParams, SystemParams,
                      collective_params, default_horizon, default_time_step,
                      individual_params, validate_params)
 from .series import ObservableSeries, time_grid
-from .wiener import CHUNK_SIZE
-from .engine import EnsembleDivergenceError, EnsembleModel, run_ensemble
+from .engine import CHUNK_SIZE, EnsembleDivergenceError, EnsembleModel, run_ensemble
 from .collective import collective_twa_model, solve_meanfield_collective
 from .individual import individual_dtwa_model, solve_meanfield_individual
 from .oracle import (BasisDescriptor, Liouvillian, build_liouvillian,

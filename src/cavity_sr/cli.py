@@ -6,7 +6,7 @@ comparison of two reports).  Exit codes: 0 success, 1 validation error,
 2 runtime failure.  Rates are in units of the active atomic decay half-rate.
 
 simulate and sweep validate their input before _run resolves the solver for
-SystemParams.scheme, the scheme's only carrier, creates --out and times it.
+SystemParams.scheme, checks each N against the oracle limit and creates --out.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .analysis import (ConvergenceVerdict, IncomparableReportsError,
                        power_law_fit, scaling_sweep)
 from .fileio import (read_points_file, read_report, write_manifest, write_report,
                      write_timeseries)
+from .oracle import check_atom_number
 from .params import (ConfigurationError, NumericalParams, SystemParams, config_echo,
                      validate_params)
 from .runners import SOLVERS, resolve_solver, simulate_timeseries
@@ -53,11 +54,14 @@ def _raw_config(args, n_atoms: int):
     return params, num
 
 
-def _run(args, params, num, solve):
-    """Resolve the solver and create --out, then time solve(solver), which
-    returns (result, config, divergent count).  Returns the result, --out
-    and the manifest.json record; write_manifest adds its outputs."""
+def _run(args, params, num, n_list, solve):
+    """Resolve the solver, check that an oracle can hold every atom number
+    of n_list and create --out, then time solve(solver), which returns
+    (result, config, divergent count).  Returns the result, --out and the
+    manifest.json record; write_manifest adds its outputs."""
     solver = resolve_solver(params.scheme, args.solver)
+    if solver == "oracle":
+        check_atom_number(params.scheme, max(n_list))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -78,7 +82,7 @@ def _cmd_simulate(args) -> int:
     def solve(solver):
         series = simulate_timeseries(solver, params, num)
         return series, config_echo(params, num, solver), series.n_divergent
-    series, out, manifest = _run(args, params, num, solve)
+    series, out, manifest = _run(args, params, num, [params.n_atoms], solve)
     csv = write_timeseries(series, out / "timeseries.csv")
     write_manifest(manifest, out, [csv])
     print(f"wrote {csv} ({len(series.times)} points, "
@@ -107,7 +111,7 @@ def _cmd_sweep(args) -> int:
     def solve(solver):
         report = scaling_sweep(solver, n_list, params, num)
         return report, report.config, int(sum(report.divergent))
-    report, out, manifest = _run(args, params, num, solve)
+    report, out, manifest = _run(args, params, num, n_list, solve)
     report_path = write_report(report, manifest, out / "report.json")
     write_manifest(manifest, out, [report_path])
     print(f"zeta = {report.zeta:.4f} +- {report.zeta_stderr:.4f} "

@@ -31,16 +31,15 @@ column-major for the DTWA); the Wiener buffer is row-major, one row per
 trajectory.
 
 The thread budget, the number of CPUs the process may run on or
-CAVITY_SR_MAX_WORKERS when set, caps every engine thread.  With a budget of
-two or more, each block draws its Wiener increments on one producer thread:
-it draws each chunk's stream several steps at once and fills the next
-(steps, rows, noise_dim) batch of increments, scaled by sqrt(dt), while the
-calling thread integrates the current one.  The producer holds two batches
-of at most BATCH_BYTES each (one step, if a step is larger) and one chunk's
-share of a batch, and stops when its block ends.  With a budget of one the
-calling thread draws one step at a time into the block's Wiener buffer.
-Either way each chunk's stream is consumed in the same order, so the output
-bits do not depend on who draws or on the budget.
+CAVITY_SR_MAX_WORKERS when set, caps every engine thread.  Each block draws
+its Wiener increments, scaled by sqrt(dt), into two alternating (steps, rows,
+noise_dim) batches of at most BATCH_BYTES (one step, if a step is larger),
+several steps of each chunk's stream per call.  With a budget of two or
+more, a run starts one producer thread, which fills each block's next batch
+while the calling thread integrates the current one; with a budget of one
+the calling thread fills each batch as it reaches it.  Either way each
+chunk's stream is consumed in the same order, so the output bits do not
+depend on who draws or on the budget.
 """
 
 from __future__ import annotations
@@ -48,25 +47,29 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict
 
 import numpy as np
 
 from .params import ConfigurationError, NumericalParams, SystemParams
 from .series import ObservableSeries, time_grid
-from .wiener import CHUNK_SIZE, chunk_stream
 
 MAX_WORKERS_ENV = "CAVITY_SR_MAX_WORKERS"
 KEYS = ("sz", "photon")
+
+# Trajectories per noise stream. Fixed: changing it changes the mapping of
+# trajectories to noise streams (but never the statistics).
+CHUNK_SIZE = 256
 
 # Bytes of state per block; a block holds
 # max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * state_dim)) whole chunks.  Tall
 # blocks amortize the per-call overhead of the model kernels; this size keeps
 # a block's state, drift, noise and Wiener buffers within a core's L2 cache.
 BLOCK_BYTES = 256 * 1024
-# Bytes of one batch of Wiener increments that a producer thread draws ahead;
-# it double-buffers two batches.
+# Bytes of one batch of Wiener increments; a block double-buffers two batches.
 BATCH_BYTES = 1024 * 1024
 
 
@@ -86,7 +89,7 @@ class EnsembleModel:
     drift(y, out) writes the time derivative into out (shaped like y);
     noise(y, dW, out) writes the stochastic increment into out, for a
     row-major dW of shape (n_traj, noise_dim) already scaled to variance dt;
-    dW may be a view into a batch of increments drawn ahead: it is
+    dW is a view into a batch of increments drawn ahead of the step: it is
     read-only, and valid for that call only;
     observables(y) -> {"sz": (n_traj,), "photon": (n_traj,)}.
 
@@ -101,6 +104,12 @@ class EnsembleModel:
     drift: Callable[[np.ndarray, np.ndarray], None]
     noise: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     observables: Callable[[np.ndarray], Dict[str, np.ndarray]]
+
+
+def chunk_stream(master_seed: int, chunk_index: int) -> np.random.Generator:
+    """The noise stream of one chunk, a pure function of its two keys."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(chunk_index,))
+    return np.random.default_rng(seq)
 
 
 def _thread_budget() -> int:
@@ -132,66 +141,55 @@ def _moments(x: np.ndarray, shapes):
     return np.concatenate(means, axis=-1), np.concatenate(m2s, axis=-1)
 
 
-def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, scratch=None):
+def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, scratch: np.ndarray):
     """Fill a (steps, rows, noise_dim) batch with the block's next steps of
     Wiener increments, scaled by sqrt_dt.
 
     Chunk j owns rows bounds[j]:bounds[j + 1] and draws all the batch's steps
     from rngs[j] in one call, in C order, the order in which one draw per
-    step would consume the stream.  A one-step batch takes each chunk's draw
-    in place; in a batch of several steps each chunk draws into the flat
-    scratch buffer, and is scaled on its way into the batch.  One call per
-    chunk per batch keeps the producer's calls few, and the cost of a
-    producer thread grows with its call count: over 10 paired twa-sweep
-    benchmark runs on 2 shared vCPUs, one-step fills in place inside each
-    batch cut trajectory-steps per second by 15% (6.37M -> 5.42M/s), and a
-    two-slot ring of one-step buffers by 16% (6.19M -> 5.18M/s).
+    step would consume the stream, into the flat scratch buffer; it is scaled
+    on its way into the batch.  One call per chunk per batch keeps the
+    producer's calls few, and the cost of a producer thread grows with its
+    call count: over 10 paired twa-sweep benchmark runs on 2 shared vCPUs,
+    one-step fills in place inside each batch cut trajectory-steps per second
+    by 15% (6.37M -> 5.42M/s), and a two-slot ring of one-step buffers by 16%
+    (6.19M -> 5.18M/s).
     """
-    chunks = zip(rngs, bounds[:-1], bounds[1:])
-    if len(batch) == 1:
-        for rng, lo, hi in chunks:
-            rng.standard_normal(out=batch[:, lo:hi])
-        batch *= sqrt_dt
-        return
-    for rng, lo, hi in chunks:
+    for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
         out = batch[:, lo:hi]
         drawn = scratch[:out.size].reshape(out.shape)
         rng.standard_normal(out=drawn)
         np.multiply(drawn, sqrt_dt, out=out)
 
 
-def _increments(rngs, bounds, noise_dim: int, dt: float, nsteps: int, ahead: bool):
+def _increments(rngs, bounds, noise_dim: int, dt: float, nsteps: int, producer):
     """Generator of the block's nsteps Wiener increments, one (rows,
-    noise_dim) array per step, valid until the next one is taken; with
-    ahead, a producer thread fills the next batch while the caller steps
-    through the current one.  Close it to stop the producer."""
+    noise_dim) array per step, valid until the next one is taken.  The
+    producer, a one-thread executor, fills the next batch while the caller
+    steps through the current one; without it (None) the caller fills each
+    batch as it reaches it."""
     sqrt_dt = np.sqrt(dt)
-    if not ahead:
-        dW = np.empty((1, bounds[-1], noise_dim))
-        for _ in range(nsteps):
-            _fill(rngs, bounds, dW, sqrt_dt)
-            yield dW[0]
-        return
     per = min(nsteps, max(1, BATCH_BYTES // max(1, 8 * bounds[-1] * noise_dim)))
     batches = np.empty((2, per, bounds[-1], noise_dim))
     scratch = np.empty(per * CHUNK_SIZE * noise_dim)
     starts = range(0, nsteps, per)
-    with ThreadPoolExecutor(max_workers=1) as producer:
-        def draw(k):
-            batch = batches[k % 2, :min(per, nsteps - starts[k])]
-            return batch, producer.submit(_fill, rngs, bounds, batch, sqrt_dt, scratch)
 
-        pending = draw(0)
-        for k in range(len(starts)):
-            batch, filled = pending
-            filled.result()
-            if k + 1 < len(starts):
-                pending = draw(k + 1)
-            yield from batch
+    def draw(k):
+        batch = batches[k % 2, :min(per, nsteps - starts[k])]
+        fill = (_fill, rngs, bounds, batch, sqrt_dt, scratch)
+        return batch, producer.submit(*fill).result if producer else partial(*fill)
+
+    pending = draw(0)
+    for k in range(len(starts)):
+        batch, filled = pending
+        filled()
+        if k + 1 < len(starts):
+            pending = draw(k + 1)
+        yield from batch
 
 
 def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
-               dt: float, nsteps: int, stride: int, ahead: bool, keep=None):
+               dt: float, nsteps: int, stride: int, producer, keep=None):
     """Integrate the consecutive chunks first, first + 1, ... as one state
     block.
 
@@ -200,8 +198,8 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     from its own stream, so every trajectory has the bits it has when its
     chunk runs alone.  keep (one chunk only) leaves trajectories out of the
     reduction; without it, a chunk with a non-finite trajectory has
-    non-finite statistics.  ahead draws the Wiener increments on a producer
-    thread.
+    non-finite statistics.  producer, if not None, draws the Wiener
+    increments ahead (see _increments).
     """
     rngs = [chunk_stream(master_seed, first + j) for j in range(len(sizes))]
     y = np.concatenate([model.sample_initial(n, rng) for n, rng in zip(sizes, rngs)])
@@ -221,33 +219,30 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     depth = min(n_rec, max(1, BLOCK_BYTES // (8 * len(KEYS) * len(y))))
     rec = np.empty((depth, len(KEYS), len(y)))
     finite = np.ones(len(y), dtype=bool)
-    increments = _increments(rngs, bounds, model.noise_dim, dt, nsteps, ahead)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(nsteps + 1):
-                if step % stride == 0:
-                    k = step // stride
-                    j = k % depth
-                    obs = model.observables(y)
-                    for i, key in enumerate(KEYS):
-                        rec[j, i] = obs[key]
-                    if j == depth - 1 or k == n_rec - 1:
-                        batch = rec[:j + 1]
-                        finite &= np.isfinite(batch).all(axis=(0, 1))
-                        mean[k - j:k + 1], m2[k - j:k + 1] = _moments(
-                            batch if keep is None else batch[..., keep], shapes)
-                if step == nsteps:
-                    break
-                dW = next(increments)
-                # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place:
-                # strong order 0.5, weak order 1
-                model.drift(y, drift)
-                model.noise(y, dW, noise)
-                drift *= dt
-                y += drift
-                y += noise
-    finally:
-        increments.close()
+    increments = _increments(rngs, bounds, model.noise_dim, dt, nsteps, producer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(nsteps + 1):
+            if step % stride == 0:
+                k = step // stride
+                j = k % depth
+                obs = model.observables(y)
+                for i, key in enumerate(KEYS):
+                    rec[j, i] = obs[key]
+                if j == depth - 1 or k == n_rec - 1:
+                    batch = rec[:j + 1]
+                    finite &= np.isfinite(batch).all(axis=(0, 1))
+                    mean[k - j:k + 1], m2[k - j:k + 1] = _moments(
+                        batch if keep is None else batch[..., keep], shapes)
+            if step == nsteps:
+                break
+            dW = next(increments)
+            # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place:
+            # strong order 0.5, weak order 1
+            model.drift(y, drift)
+            model.noise(y, dW, noise)
+            drift *= dt
+            y += drift
+            y += noise
     finite &= np.isfinite(y).all(axis=1)
     counts = [rows for chunks, rows in shapes for _ in range(chunks)]
     stats = [{key: (n, mean[:, i, j], m2[:, i, j]) for i, key in enumerate(KEYS)}
@@ -256,7 +251,7 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
 
 
 def _run_chunks(model: EnsembleModel, first: int, sizes: list, master_seed: int,
-                dt: float, nsteps: int, stride: int, ahead: bool):
+                dt: float, nsteps: int, stride: int, producer):
     """Per-chunk statistics of one block and its number of divergent
     trajectories.
 
@@ -265,13 +260,13 @@ def _run_chunks(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     keeping every trajectory's record history for it.
     """
     stats, finite = _run_block(model, first, sizes, master_seed, dt, nsteps, stride,
-                               ahead)
+                               producer)
     for j, keep in enumerate(finite):
         if keep.all():
             continue
         if keep.any():
             stats[j] = _run_block(model, first + j, [sizes[j]], master_seed,
-                                  dt, nsteps, stride, ahead, keep)[0][0]
+                                  dt, nsteps, stride, producer, keep)[0][0]
         else:
             stats[j] = {key: (0, mean, m2) for key, (_, mean, m2) in stats[j].items()}
     return stats, sum(int(len(keep) - keep.sum()) for keep in finite)
@@ -308,17 +303,18 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
         sizes.append(num.n_traj % CHUNK_SIZE)
 
     per_block = max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * model.state_dim))
-    # the budget's second thread, if any, draws each block's increments ahead
-    ahead = _thread_budget() >= 2
     n_div = 0
     totals = {k: (0, np.zeros(len(times)), np.zeros(len(times))) for k in KEYS}
-    for first in range(0, len(sizes), per_block):
-        block, divergent = _run_chunks(model, first, sizes[first:first + per_block],
-                                       num.seed, num.dt, nsteps, stride, ahead)
-        n_div += divergent
-        for stats in block:
-            for key in totals:
-                totals[key] = _merge(totals[key], stats[key])
+    # the budget's second thread, if any, draws every block's increments ahead
+    with (ThreadPoolExecutor(max_workers=1) if _thread_budget() >= 2
+          else nullcontext()) as producer:
+        for first in range(0, len(sizes), per_block):
+            block, divergent = _run_chunks(model, first, sizes[first:first + per_block],
+                                           num.seed, num.dt, nsteps, stride, producer)
+            n_div += divergent
+            for stats in block:
+                for key in totals:
+                    totals[key] = _merge(totals[key], stats[key])
 
     n = totals["sz"][0]
     if n == 0:

@@ -127,13 +127,18 @@ def _equal_sector_pairs(left: np.ndarray, right: np.ndarray):
     return p, order[np.repeat(first, count) + within]
 
 
+def check_atom_number(scheme: str, n_atoms: int) -> None:
+    """Raise ValueError if the scheme's oracle cannot hold n_atoms atoms."""
+    limit = MAX_COLLECTIVE_ATOMS if scheme == "collective" else MAX_INDIVIDUAL_ATOMS
+    if n_atoms > limit:
+        raise ValueError(f"{scheme} oracle limited to N <= {limit}")
+
+
 def build_liouvillian(params: SystemParams) -> Liouvillian:
     """Master equation with the cavity jump c at rate 2*kappa and either the
     collective jump S_minus at rate 2*Gamma or N independent jumps
     sigma_minus^i at rate 2*gamma each, on the sector blocks of rho."""
-    limit = MAX_COLLECTIVE_ATOMS if params.scheme == "collective" else MAX_INDIVIDUAL_ATOMS
-    if params.n_atoms > limit:
-        raise ValueError(f"{params.scheme} oracle limited to N <= {limit}")
+    check_atom_number(params.scheme, params.n_atoms)
     basis = BasisDescriptor(params.scheme, params.n_atoms)
     operators = collective_operators if basis.kind == "collective" else individual_operators
     jumps, c = operators(basis)

@@ -71,15 +71,16 @@ def default_time_step(params: SystemParams) -> float:
     """N-adapted Euler-Maruyama step.
 
     The superradiant burst narrows with N, so dt must shrink accordingly.
-    Collective scheme: the burst rate scale is Gamma*N, giving
-    dt = min(1e-3, 0.05/(Gamma*N)).  Individual scheme: the fast rates are
-    the cavity decay, the independent decay and the cavity-mediated
-    collective rate (at g = 0 there is no N-dependent burst at all).
+    Collective scheme: the burst rate scale is Gamma*N, and the cavity decay
+    caps the step at 0.5/kappa, giving dt = min(1e-3, 0.05/(Gamma*N),
+    0.5/kappa).  Individual scheme: the fast rates are the cavity decay, the
+    independent decay and the cavity-mediated collective rate (at g = 0
+    there is no N-dependent burst at all), giving dt = min(1e-3, 0.05/rate).
     """
     if params.scheme == SCHEME_COLLECTIVE:
-        rate = params.gamma * params.n_atoms
-        return min(1e-3, 0.05 / rate) if rate > 0 else 1e-3
-    rate = max(2.0 * params.gamma, params.kappa, _cavity_collective_rate(params))
+        rate = max(params.gamma * params.n_atoms, params.kappa / 10)
+    else:
+        rate = max(2.0 * params.gamma, params.kappa, _cavity_collective_rate(params))
     return min(1e-3, 0.05 / rate) if rate > 0 else 1e-3
 
 

@@ -145,6 +145,17 @@ class TestSimulate:
         exact = 2 * np.exp(-4 * t) + 4 * t * np.exp(-4 * t) - 1
         np.testing.assert_allclose(sz_mean, exact, atol=1e-6)
 
+    def test_collective_default_step_resolves_a_fast_cavity(self, tmp_path):
+        # dt = 1e-3 diverges every trajectory at kappa = 3000; the default
+        # step is capped at 0.5 / kappa
+        code = run_cli("simulate", "--scheme", "collective", "--solver", "twa",
+                       "--n-atoms", "10", "--g", "1", "--kappa", "3000",
+                       "--trajectories", "256", "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["n_divergent"] == 0
+        assert manifest["config"]["dt"] == pytest.approx(0.5 / 3000)
+
 
 class TestValidationAndExitCodes:
     def test_invalid_scheme_solver_combination(self, tmp_path, capsys):
@@ -180,8 +191,10 @@ class TestValidationAndExitCodes:
          "g = inf"),
         (["simulate", "--solver", "twa", "--n-atoms", "10", "--seed", "-1"],
          "seed must be a non-negative integer, got -1"),
+        (["simulate", "--solver", "oracle", "--n-atoms", "41"],
+         "collective oracle limited to N <= 40"),
     ], ids=["nan-detuning", "inf-t-max", "nan-dt", "nan-gamma", "nan-kappa",
-            "inf-g", "negative-seed"])
+            "inf-g", "negative-seed", "oracle-n-41"])
     def test_bad_number_fails_before_any_solve(self, tmp_path, monkeypatch,
                                                capsys, argv, message):
         calls = count_solves(monkeypatch)
@@ -338,8 +351,10 @@ class TestSweepAndCheck:
         (["--n-list", "50,abc,200"], "--n-list entry 'abc'"),
         (["--n-list", "50,,200"], "--n-list entry ''"),
         (["--n-list", "50,100,200", "--detuning", "inf"], "detuning = inf"),
+        (["--solver", "oracle", "--scheme", "individual", "--n-list", "2,5,7"],
+         "individual oracle limited to N <= 6"),
     ], ids=["duplicate-n", "zero-n", "zero-trajectories", "non-integer-n",
-            "empty-n", "inf-detuning"])
+            "empty-n", "inf-detuning", "oracle-n-7"])
     def test_bad_sweep_input_fails_before_any_solve(self, tmp_path, monkeypatch,
                                                     capsys, extra, message):
         calls = count_solves(monkeypatch)

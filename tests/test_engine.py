@@ -10,11 +10,10 @@ from cavity_sr import (ConfigurationError, EnsembleDivergenceError,
                        individual_params, run_ensemble)
 from cavity_sr import engine
 from cavity_sr.collective import collective_twa_model
-from cavity_sr.engine import (BATCH_BYTES, BLOCK_BYTES, KEYS, MAX_WORKERS_ENV,
-                              _merge)
+from cavity_sr.engine import (BATCH_BYTES, BLOCK_BYTES, CHUNK_SIZE, KEYS,
+                              MAX_WORKERS_ENV, _merge, chunk_stream)
 from cavity_sr.individual import individual_dtwa_model
 from cavity_sr.series import time_grid
-from cavity_sr.wiener import CHUNK_SIZE, chunk_stream
 
 
 def fixed_point_model(y0):
@@ -291,11 +290,12 @@ def test_online_reduction_matches_history_reduction(fraction):
 
 
 def spy_fills(monkeypatch):
-    """Record the thread of every engine._fill call."""
+    """Record the thread name of every engine._fill call; names, unlike
+    thread idents, are not reused by later threads."""
     threads, fill = [], engine._fill
 
     def spy(*args, **kwargs):
-        threads.append(threading.get_ident())
+        threads.append(threading.current_thread().name)
         return fill(*args, **kwargs)
     monkeypatch.setattr(engine, "_fill", spy)
     return threads
@@ -304,7 +304,7 @@ def spy_fills(monkeypatch):
 def drew_ahead(threads):
     """True if every recorded fill ran off the calling thread, False if
     every one ran on it."""
-    on_caller = {ident == threading.get_ident() for ident in threads}
+    on_caller = {name == threading.current_thread().name for name in threads}
     assert len(on_caller) == 1
     return not on_caller.pop()
 
@@ -327,9 +327,9 @@ def test_drawing_ahead_gives_the_same_bits(monkeypatch):
             monkeypatch.setenv(MAX_WORKERS_ENV, workers)
             threads.clear()
             runs[workers] = run_ensemble(model, params, num)
-            ahead = workers == "2"
-            assert drew_ahead(threads) == ahead
-            assert len(threads) == (-(-nsteps // per) if ahead else nsteps)
+            assert drew_ahead(threads) == (workers == "2")
+            # batches of per steps, filled on the caller or on the producer
+            assert len(threads) == -(-nsteps // per)
     finally:
         sys.setswitchinterval(interval)
     for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
@@ -362,7 +362,8 @@ def test_every_block_draws_ahead_on_one_producer(monkeypatch):
     fills, fill = [], engine._fill
 
     def spy(rngs, bounds, batch, *args):
-        fills.append((threading.get_ident(), len(batch), threading.active_count()))
+        fills.append((threading.current_thread().name, len(batch),
+                      threading.active_count()))
         return fill(rngs, bounds, batch, *args)
     monkeypatch.setattr(engine, "_fill", spy)
     runs = {}
@@ -371,7 +372,8 @@ def test_every_block_draws_ahead_on_one_producer(monkeypatch):
         fills.clear()
         before = threading.active_count()
         runs[workers] = run_ensemble(model, params, num)
-    assert all(ident != threading.get_ident() for ident, _, _ in fills)
+    assert all(name != threading.current_thread().name for name, _, _ in fills)
+    assert len({name for name, _, _ in fills}) == 1     # one producer for the run
     block = [per] * (nsteps // per) + [nsteps % per] * (nsteps % per > 0)
     assert [steps for _, steps, _ in fills] == 2 * block
     assert max(alive for _, _, alive in fills) <= before + 1
@@ -383,7 +385,7 @@ def test_every_block_draws_ahead_on_one_producer(monkeypatch):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_rerun_of_divergent_chunks_matches_history_reduction(monkeypatch, workers):
     # both chunks of the one block hold a divergent trajectory and run again
-    # alone, each with its own producer under the cap of 2
+    # alone, on the run's one producer under the cap of 2
     monkeypatch.setenv(MAX_WORKERS_ENV, workers)
     threads = spy_fills(monkeypatch)
     params = individual_params(n_atoms=1)
@@ -391,6 +393,7 @@ def test_rerun_of_divergent_chunks_matches_history_reduction(monkeypatch, worker
     model = divergent_model(0.02, sigma=0.3)
     series = run_ensemble(model, params, num)
     assert drew_ahead(threads) == (workers == "2")
+    assert len(set(threads)) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         totals, n_div = history_reduction(model, num)
     assert series.n_divergent == n_div > 1
@@ -438,8 +441,8 @@ def test_failure_propagates_and_stops_the_producer(monkeypatch, workers, fails):
     monkeypatch.setenv(MAX_WORKERS_ENV, workers)
     threads = spy_fills(monkeypatch)
     # 600 one-float trajectories: one block of three chunks.  Each stream's
-    # fourth draw fails, mid-run both one step at a time and when the
-    # producer draws a batch of steps at once
+    # fourth draw, of a batch of steps, fails mid-run, on the calling thread
+    # under the cap of 1 and on the producer under the cap of 2
     num = NumericalParams(n_traj=600, seed=1, dt=1e-3, t_max=1.0)
     assert 3 * (BATCH_BYTES // (8 * num.n_traj)) < time_grid(num.dt, num.t_max)[0]
     if fails == "draw":

@@ -99,6 +99,14 @@ def test_time_step_shrinks_with_atoms_collective():
     assert default_time_step(collective_params(400)) == pytest.approx(0.05 / 400)
 
 
+@pytest.mark.parametrize("n, dt", [(8, 1e-3), (50, 1e-3), (100, 5e-4), (200, 2.5e-4),
+                                   (400, 1.25e-4)])
+def test_collective_time_step_at_kappa_100_is_pinned(n, dt):
+    # the benchmark's collective configurations: their cavity cap,
+    # 0.5 / kappa = 5e-3, lies above every one of these steps
+    assert default_time_step(collective_params(n, g=10.0, kappa=100.0)) == dt
+
+
 def test_individual_time_step_tracks_cavity_rate():
     # at g = 0 there is no N-dependent burst; dt is set by kappa
     no_coupling = default_time_step(individual_params(400, g=0.0, kappa=20.0))

@@ -1,7 +1,7 @@
 import numpy as np
 
 from cavity_sr import EnsembleModel, NumericalParams, individual_params, run_ensemble
-from cavity_sr.wiener import chunk_stream
+from cavity_sr.engine import chunk_stream
 
 
 def wiener_model(noise_dim):
