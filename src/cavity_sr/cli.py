@@ -5,8 +5,9 @@ number list), fit (power-law fit of a points file), check (convergence
 comparison of two reports).  Exit codes: 0 success, 1 validation error,
 2 runtime failure.  Rates are in units of the active atomic decay half-rate.
 
-simulate and sweep validate their input before _run resolves the solver for
-SystemParams.scheme, checks each N against the oracle limit and creates --out.
+simulate and sweep validate their input before _run reads the engine's thread
+budget, resolves the solver for SystemParams.scheme, checks each N against the
+oracle limit and creates --out.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import __version__
 from .analysis import (ConvergenceVerdict, IncomparableReportsError,
                        UnresolvedBurstError, atom_numbers, convergence_check,
                        power_law_fit, scaling_sweep)
+from .engine import thread_budget
 from .fileio import (read_points_file, read_report, write_manifest, write_report,
                      write_timeseries)
 from .oracle import check_atom_number
@@ -55,10 +57,12 @@ def _raw_config(args, n_atoms: int):
 
 
 def _run(args, params, num, n_list, solve):
-    """Resolve the solver, check that an oracle can hold every atom number
-    of n_list and create --out, then time solve(solver), which returns
-    (result, config, divergent count).  Returns the result, --out and the
-    manifest.json record; write_manifest adds its outputs."""
+    """Check CAVITY_SR_MAX_WORKERS, resolve the solver, check that an oracle
+    can hold every atom number of n_list and create --out, then time
+    solve(solver), which returns (result, config, divergent count).  Returns
+    the result, --out and the manifest.json record; write_manifest adds its
+    outputs."""
+    thread_budget()
     solver = resolve_solver(params.scheme, args.solver)
     if solver == "oracle":
         check_atom_number(params.scheme, max(n_list))

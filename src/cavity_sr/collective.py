@@ -14,9 +14,10 @@ atomic frequency, with Delta the cavity detuning, the Ito equations are
   d eta   = [-i Delta eta - i g alpha beta* - kappa eta] dt
             + sqrt(kappa/2) (dW5 + i dW6)
 
-with negative noise radicands clamped to zero (the diffusion matrix is not
-positive semidefinite near depletion; clamping is the standard regularization
-and only touches late-time tails).
+with beta's noise radicand clamped to zero where |alpha|^2 < 1/2 (the
+diffusion matrix is not positive semidefinite near depletion; clamping is the
+standard regularization and only touches late-time tails).  alpha's radicand
+Gamma(|beta|^2 + 1/2) is never negative, since Gamma >= 0, and is not clamped.
 
 The mean-field solver is the free-space reference.  The mean-field equations
 for <S+> and <c> are linear and homogeneous in the pair, so from full
@@ -40,73 +41,47 @@ from .engine import EnsembleModel
 from .params import NumericalParams, SystemParams, SCHEME_COLLECTIVE
 from .series import ObservableSeries, time_grid
 
-NOISE_DIM = 6
-
 
 def _require_collective(params: SystemParams):
     if params.scheme != SCHEME_COLLECTIVE:
         raise ValueError("collective operations need params of the collective scheme")
 
 
-def _drift(alpha, beta, eta, params: SystemParams):
-    """Drift field; elementwise over arrays or scalars."""
-    g, gam, kap = params.g, params.gamma, params.kappa
-    d_alpha = -1j * g * beta * eta - gam * (np.abs(beta) ** 2 + 0.5) * alpha
-    d_beta = -1j * g * alpha * np.conj(eta) + gam * (np.abs(alpha) ** 2 - 0.5) * beta
-    d_eta = -1j * params.detuning * eta - 1j * g * alpha * np.conj(beta) \
-        - kap * eta
-    return d_alpha, d_beta, d_eta
-
-
-def _noise(alpha, beta, eta, dW, params: SystemParams):
-    """Stochastic increments for dW columns (dW1..dW6) of variance dt, the
-    last axis of dW and contiguous: the column pairs are viewed as the
-    complex increments dW1 + i dW2, dW3 + i dW4 and dW5 + i dW6."""
-    gam, kap = params.gamma, params.kappa
-    amp_a = np.sqrt(np.maximum(gam * (np.abs(beta) ** 2 + 0.5), 0.0) / 2.0)
-    amp_b = np.sqrt(np.maximum(gam * (np.abs(alpha) ** 2 - 0.5), 0.0) / 2.0)
-    amp_h = np.sqrt(kap / 2.0)
-    w = dW.view(complex)
-    d_alpha = amp_a * w[..., 0]
-    d_beta = amp_b * w[..., 1]
-    d_eta = amp_h * w[..., 2]
-    return d_alpha, d_beta, d_eta
-
-
-def _sample_block(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_traj, 3) complex block for the state |e_1..e_N; 0>.
-
-    Mode a carries the N quanta: fixed amplitude sqrt(N) with uniform random
-    phase; b and eta are vacuum Wigner samples, complex Gaussian with
-    <|.|^2> = 1/2.
-    """
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_traj)
-    block = np.empty((n_traj, 3), dtype=complex)
-    block[:, 0] = np.sqrt(float(n_atoms)) * np.exp(1j * phases)
-    vac = rng.standard_normal((n_traj, 4))
-    block[:, 1] = 0.5 * (vac[:, 0] + 1j * vac[:, 1])
-    block[:, 2] = 0.5 * (vac[:, 2] + 1j * vac[:, 3])
-    return block
-
-
-def collective_twa_model(params: SystemParams, num: NumericalParams) -> EnsembleModel:
+def collective_twa_model(params: SystemParams) -> EnsembleModel:
     """Vectorized TWA model over a (n_traj, 6) real state block.
 
     Adjacent float pairs are the real/imaginary parts of (alpha, beta, eta);
     the callables view the state and output blocks as (n_traj, 3) complex.
+    The initial block is the state |e_1..e_N; 0>: mode a carries the N
+    quanta, with fixed amplitude sqrt(N) and uniform random phase; b and eta
+    are vacuum Wigner samples, complex Gaussian with <|.|^2> = 1/2.
     """
     _require_collective(params)
+    g, gam, kap, det = params.g, params.gamma, params.kappa, params.detuning
+    amp_h = np.sqrt(kap / 2.0)
 
     def sample_initial(n, rng):
-        return _sample_block(n, params.n_atoms, rng).view(float).reshape(n, 6)
+        phases = rng.uniform(0.0, 2.0 * np.pi, n)
+        z = np.empty((n, 3), dtype=complex)
+        z[:, 0] = np.sqrt(float(params.n_atoms)) * np.exp(1j * phases)
+        vac = rng.standard_normal((n, 4))
+        z[:, 1] = 0.5 * (vac[:, 0] + 1j * vac[:, 1])
+        z[:, 2] = 0.5 * (vac[:, 2] + 1j * vac[:, 3])
+        return z.view(float)
 
     def drift(y, out):
-        z, o = y.view(complex), out.view(complex)
-        o[:, 0], o[:, 1], o[:, 2] = _drift(z[:, 0], z[:, 1], z[:, 2], params)
+        (alpha, beta, eta), o = y.view(complex).T, out.view(complex)
+        o[:, 0] = -1j * g * beta * eta - gam * (np.abs(beta) ** 2 + 0.5) * alpha
+        o[:, 1] = -1j * g * alpha * np.conj(eta) + gam * (np.abs(alpha) ** 2 - 0.5) * beta
+        o[:, 2] = -1j * det * eta - 1j * g * alpha * np.conj(beta) - kap * eta
 
     def noise(y, dW, out):
-        z, o = y.view(complex), out.view(complex)
-        o[:, 0], o[:, 1], o[:, 2] = _noise(z[:, 0], z[:, 1], z[:, 2], dW, params)
+        """dW's column pairs are the complex increments dW1 + i dW2,
+        dW3 + i dW4 and dW5 + i dW6."""
+        (alpha, beta, _), o, w = y.view(complex).T, out.view(complex), dW.view(complex)
+        o[:, 0] = np.sqrt(gam * (np.abs(beta) ** 2 + 0.5) / 2.0) * w[:, 0]
+        o[:, 1] = np.sqrt(np.maximum(gam * (np.abs(alpha) ** 2 - 0.5), 0.0) / 2.0) * w[:, 1]
+        o[:, 2] = amp_h * w[:, 2]
 
     def observables(y):
         z = y.view(complex)
@@ -114,7 +89,7 @@ def collective_twa_model(params: SystemParams, num: NumericalParams) -> Ensemble
         photon = np.abs(z[:, 2]) ** 2 - 0.5
         return {"sz": sz, "photon": photon}
 
-    return EnsembleModel(state_dim=6, noise_dim=NOISE_DIM,
+    return EnsembleModel(state_dim=6, noise_dim=6,
                          sample_initial=sample_initial, drift=drift, noise=noise,
                          observables=observables)
 

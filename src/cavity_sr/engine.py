@@ -112,7 +112,9 @@ def chunk_stream(master_seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def _thread_budget() -> int:
+def thread_budget() -> int:
+    """The engine's thread cap: CAVITY_SR_MAX_WORKERS, an integer >= 1, when
+    set, else the number of CPUs the process may run on."""
     cap = os.environ.get(MAX_WORKERS_ENV)
     if not cap:
         if hasattr(os, "sched_getaffinity"):
@@ -306,7 +308,7 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
     n_div = 0
     totals = {k: (0, np.zeros(len(times)), np.zeros(len(times))) for k in KEYS}
     # the budget's second thread, if any, draws every block's increments ahead
-    with (ThreadPoolExecutor(max_workers=1) if _thread_budget() >= 2
+    with (ThreadPoolExecutor(max_workers=1) if thread_budget() >= 2
           else nullcontext()) as producer:
         for first in range(0, len(sizes), per_block):
             block, divergent = _run_chunks(model, first, sizes[first:first + per_block],

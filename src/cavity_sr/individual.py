@@ -58,22 +58,14 @@ def _require_individual(params: SystemParams):
         raise ValueError("individual operations need params of the individual scheme")
 
 
-def _sample_spins(n_traj: int, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_traj, N, 3) block: (s_x, s_y, s_z) in {(+-1, +-1, 1)}, equal weight."""
-    spins = np.empty((n_traj, n_atoms, 3))
-    spins[:, :, 0] = rng.integers(0, 2, (n_traj, n_atoms)) * 2.0 - 1.0
-    spins[:, :, 1] = rng.integers(0, 2, (n_traj, n_atoms)) * 2.0 - 1.0
-    spins[:, :, 2] = 1.0
-    return spins
-
-
-def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> EnsembleModel:
+def individual_dtwa_model(params: SystemParams) -> EnsembleModel:
     """Vectorized DTWA model over a column-major (n_traj, 3N + 2) real state
     block: columns [s_x (N), s_y (N), s_z (N), Re eta, Im eta].
 
     The spin columns of the initial block are discrete Wigner samples of the
-    fully excited lattice; the cavity starts in the vacuum Wigner
-    distribution (<|eta|^2> = 1/2)."""
+    fully excited lattice, (s_x, s_y, s_z) in {(+-1, +-1, 1)} with equal
+    weight; the cavity starts in the vacuum Wigner distribution
+    (<|eta|^2> = 1/2)."""
     _require_individual(params)
     n = params.n_atoms
     g, gam, kap, det = params.g, params.gamma, params.kappa, params.detuning
@@ -86,11 +78,10 @@ def individual_dtwa_model(params: SystemParams, num: NumericalParams) -> Ensembl
         return part.reshape(-1, k, n).sum(axis=-1)
 
     def sample_initial(m, rng):
-        spins = _sample_spins(m, n, rng)
         y = np.empty((m, 3 * n + 2), order="F")
-        y[:, :n] = spins[:, :, 0]
-        y[:, n:2 * n] = spins[:, :, 1]
-        y[:, 2 * n:3 * n] = spins[:, :, 2]
+        y[:, :n] = rng.integers(0, 2, (m, n)) * 2.0 - 1.0
+        y[:, n:2 * n] = rng.integers(0, 2, (m, n)) * 2.0 - 1.0
+        y[:, 2 * n:3 * n] = 1.0
         y[:, 3 * n:] = 0.5 * rng.standard_normal((m, 2))
         return y
 

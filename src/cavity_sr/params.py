@@ -10,6 +10,7 @@ configuration stores the half-rates kappa and gamma (Gamma or gamma, by scheme).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 SCHEME_COLLECTIVE = "collective"
@@ -115,8 +116,18 @@ def _check_finite(owner, names, errors: list) -> None:
             errors.append(f"non-finite value: {name} = {value}")
 
 
+def _is_integer(owner, name, errors: list) -> bool:
+    """Whether the field is an integer, numpy integers included; if not,
+    appends an error naming it."""
+    value = getattr(owner, name)
+    if not isinstance(value, numbers.Integral):
+        errors.append(f"{name} must be an integer, got {value!r}")
+        return False
+    return True
+
+
 def _check_system(p: SystemParams, errors: list) -> None:
-    if int(p.n_atoms) < 1:
+    if _is_integer(p, "n_atoms", errors) and p.n_atoms < 1:
         errors.append("zero atoms: n_atoms must be >= 1")
     if p.scheme not in (SCHEME_COLLECTIVE, SCHEME_INDIVIDUAL):
         errors.append(f"unknown scheme {p.scheme!r}: must be "
@@ -128,9 +139,9 @@ def _check_system(p: SystemParams, errors: list) -> None:
 
 
 def _check_numerics(num: NumericalParams, errors: list) -> None:
-    if num.n_traj < 1:
+    if _is_integer(num, "n_traj", errors) and num.n_traj < 1:
         errors.append(f"n_traj must be >= 1, got {num.n_traj}")
-    if num.seed < 0:
+    if _is_integer(num, "seed", errors) and num.seed < 0:
         errors.append(f"seed must be a non-negative integer, got {num.seed}")
     _check_finite(num, ("dt", "t_max"), errors)
     if num.dt is not None and num.dt <= 0:
@@ -139,7 +150,8 @@ def _check_numerics(num: NumericalParams, errors: list) -> None:
         errors.append(f"t_max must be positive, got {num.t_max}")
     if (num.dt is not None and num.t_max is not None and num.dt > num.t_max):
         errors.append(f"dt = {num.dt} exceeds t_max = {num.t_max}")
-    if num.smoothing_window < 1 or num.smoothing_window % 2 == 0:
+    if _is_integer(num, "smoothing_window", errors) and (
+            num.smoothing_window < 1 or num.smoothing_window % 2 == 0):
         errors.append(f"smoothing window must be odd and >= 1, got {num.smoothing_window}")
 
 
@@ -148,8 +160,8 @@ def validate_params(params: SystemParams, num: NumericalParams):
 
     Returns a (SystemParams, NumericalParams) pair with the dt / t_max
     defaults filled in.  Raises ConfigurationError carrying the complete list
-    of violations (including any NaN or infinite rate, detuning, dt or t_max)
-    otherwise.
+    of violations (including any NaN or infinite rate, detuning, dt or t_max,
+    and any count that is not an integer) otherwise.
     Idempotent: validating an already validated pair returns it unchanged.
     """
     errors: list = []

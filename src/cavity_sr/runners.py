@@ -16,9 +16,9 @@ from .params import (NumericalParams, SystemParams, SCHEME_COLLECTIVE,
 # looked up at call time
 _SOLVE = {
     (SCHEME_COLLECTIVE, "twa"):
-        lambda params, num: run_ensemble(collective_twa_model(params, num), params, num),
+        lambda params, num: run_ensemble(collective_twa_model(params), params, num),
     (SCHEME_INDIVIDUAL, "dtwa"):
-        lambda params, num: run_ensemble(individual_dtwa_model(params, num), params, num),
+        lambda params, num: run_ensemble(individual_dtwa_model(params), params, num),
     (SCHEME_COLLECTIVE, "meanfield"): solve_meanfield_collective,
     (SCHEME_INDIVIDUAL, "meanfield"): solve_meanfield_individual,
     (SCHEME_COLLECTIVE, "oracle"): solve_oracle,

@@ -206,6 +206,24 @@ class TestValidationAndExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--solver", "twa", "--n-atoms", "10"],
+        ["simulate", "--solver", "meanfield", "--n-atoms", "10"],
+        ["simulate", "--solver", "oracle", "--n-atoms", "4"],
+        ["sweep", "--n-list", "5,10,20"],
+    ], ids=["twa", "meanfield", "oracle", "sweep"])
+    def test_bad_worker_cap_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                                   capsys, argv):
+        monkeypatch.setenv("CAVITY_SR_MAX_WORKERS", "x")
+        calls = count_solves(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--scheme", "collective", "--out", str(out))
+        assert code == 1
+        assert calls == []
+        assert not out.exists()
+        assert "CAVITY_SR_MAX_WORKERS must be an integer >= 1, got 'x'" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--solver", "meanfield", "--n-atoms", "10"],
         ["sweep", "--solver", "meanfield", "--n-list", "10,20,40"],
     ], ids=["simulate", "sweep"])

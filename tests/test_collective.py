@@ -23,21 +23,21 @@ def point(alpha, beta, eta):
 def drift_at(params, alpha, beta, eta):
     """(d_alpha, d_beta, d_eta) of the model drift at one point."""
     out = np.empty((1, 6))
-    collective_twa_model(params, NumericalParams()).drift(point(alpha, beta, eta), out)
+    collective_twa_model(params).drift(point(alpha, beta, eta), out)
     return out.view(complex)[0]
 
 
 def noise_at(params, alpha, beta, eta, dW):
     """Model noise increments at one point for a 6-component Wiener block."""
     out = np.empty((1, 6))
-    collective_twa_model(params, NumericalParams()).noise(
-        point(alpha, beta, eta), np.asarray(dW, dtype=float).reshape(1, 6), out)
+    collective_twa_model(params).noise(point(alpha, beta, eta),
+                                       np.asarray(dW, dtype=float).reshape(1, 6), out)
     return out.view(complex)[0]
 
 
 def observables_of(block):
     """Ensemble means of the model observables over a (n, 3) complex block."""
-    obs = collective_twa_model(cparams(), NumericalParams()).observables(
+    obs = collective_twa_model(cparams()).observables(
         np.array(block, dtype=complex).view(float))
     return float(np.mean(obs["sz"])), float(np.mean(obs["photon"]))
 
@@ -101,15 +101,15 @@ class TestNoise:
 class TestSampling:
     def test_vacuum_second_moment(self):
         rng = np.random.default_rng(123)
-        from cavity_sr.collective import _sample_block
-        block = _sample_block(1_000_000, 10, rng)
+        block = collective_twa_model(cparams(n_atoms=10)).sample_initial(
+            1_000_000, rng).view(complex)
         assert np.mean(np.abs(block[:, 1]) ** 2) == pytest.approx(0.5, abs=0.002)
         assert np.mean(np.abs(block[:, 2]) ** 2) == pytest.approx(0.5, abs=0.002)
 
     def test_vacuum_mean_is_zero(self):
         rng = np.random.default_rng(7)
-        from cavity_sr.collective import _sample_block
-        block = _sample_block(1_000_000, 10, rng)
+        block = collective_twa_model(cparams(n_atoms=10)).sample_initial(
+            1_000_000, rng).view(complex)
         sem = 0.5 / 1000.0   # std of Re/Im is 1/2
         assert abs(np.mean(block[:, 1])) < 3 * sem * np.sqrt(2)
         assert abs(np.mean(block[:, 2])) < 3 * sem * np.sqrt(2)
@@ -117,13 +117,13 @@ class TestSampling:
     def test_alpha_amplitude_conventions(self):
         rng = np.random.default_rng(5)
         p = cparams(n_atoms=64)
-        y = collective_twa_model(p, NumericalParams()).sample_initial(1, rng)
+        y = collective_twa_model(p).sample_initial(1, rng)
         assert abs(y.view(complex)[0, 0]) == pytest.approx(8.0)
 
     def test_phase_is_uniform(self):
         rng = np.random.default_rng(9)
-        from cavity_sr.collective import _sample_block
-        block = _sample_block(200_000, 4, rng)
+        block = collective_twa_model(cparams(n_atoms=4)).sample_initial(
+            200_000, rng).view(complex)
         # mean of alpha vanishes only if the phase is spread over the circle
         assert abs(np.mean(block[:, 0])) < 0.02 * 2
 
@@ -145,6 +145,52 @@ class TestObservables:
         block[:, 2] = eta
         _, photon = observables_of(block)
         assert photon == pytest.approx(0.0, abs=0.005)
+
+
+def docstring_kernels(p, y, dW):
+    """Drift, noise and observables of the module docstring's Ito equations
+    on a whole (n, 6) block, each product in the docstring's association."""
+    alpha, beta, eta = y.view(complex).T
+    g, gam, kap = p.g, p.gamma, p.kappa
+    w = dW.view(complex)
+    drift = np.column_stack([
+        -1j * g * beta * eta - gam * (np.abs(beta) ** 2 + 0.5) * alpha,
+        -1j * g * alpha * np.conj(eta) + gam * (np.abs(alpha) ** 2 - 0.5) * beta,
+        -1j * p.detuning * eta - 1j * g * alpha * np.conj(beta) - kap * eta])
+    noise = np.column_stack([
+        np.sqrt(gam * (np.abs(beta) ** 2 + 0.5) / 2.0) * w[:, 0],
+        np.sqrt(np.maximum(gam * (np.abs(alpha) ** 2 - 0.5), 0.0) / 2.0) * w[:, 1],
+        np.sqrt(kap / 2.0) * w[:, 2]])
+    return (drift.view(float), noise.view(float),
+            0.5 * (np.abs(alpha) ** 2 - np.abs(beta) ** 2), np.abs(eta) ** 2 - 0.5)
+
+
+class TestKernelBits:
+    # couplings that are not powers of two, a detuning and gamma != 1, so a
+    # reassociated product or a dropped term rounds differently
+    PARAMS = dict(g=1.5, kappa=3.0, gamma=0.7, detuning=0.7)
+
+    def test_kernels_match_the_docstring_formulas_bit_for_bit(self):
+        # a sampled (64, 6) block after 20 Euler-Maruyama steps, every other
+        # row then depleted to |alpha|^2 < 1/2, where beta's noise is clamped
+        p = cparams(n_atoms=2, **self.PARAMS)
+        model = collective_twa_model(p)
+        rng = np.random.default_rng(6)
+        y = model.sample_initial(64, rng)
+        d, z = np.empty_like(y), np.empty_like(y)
+        for _ in range(21):
+            dW = 0.03 * rng.standard_normal((64, model.noise_dim))
+            model.drift(y, d)
+            model.noise(y, dW, z)
+            y += d * 1e-3 + z
+        y.view(complex)[::2, 0] *= 0.4
+        model.drift(y, d)
+        model.noise(y, dW, z)
+        obs = model.observables(y)
+        assert np.any(np.abs(y.view(complex)[:, 0]) ** 2 < 0.5)
+        for got, want in zip((d, z, obs["sz"], obs["photon"]),
+                             docstring_kernels(p, y, dW)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMeanField:
@@ -182,7 +228,7 @@ class TestMeanField:
 
 
 def integrate_drift_only(params, y0, dt, nsteps):
-    model = collective_twa_model(params, NumericalParams())
+    model = collective_twa_model(params)
     y = y0.copy()
     d = np.empty_like(y)
     for _ in range(nsteps):
@@ -195,8 +241,7 @@ class TestConservation:
     def setup_method(self):
         self.params = cparams(g=2.0, detuning=0.5)
         rng = np.random.default_rng(3)
-        from cavity_sr.collective import _sample_block
-        self.y0 = _sample_block(16, 8, rng).view(float).reshape(16, 6)
+        self.y0 = collective_twa_model(cparams(n_atoms=8)).sample_initial(16, rng)
 
     @staticmethod
     def invariants(y):

@@ -101,7 +101,7 @@ def test_weak_convergence_first_order():
 def test_thread_count_does_not_change_bits():
     params = individual_params(n_atoms=20, g=2.0, kappa=20.0)
     num = NumericalParams(n_traj=600, seed=42, dt=1e-3, t_max=0.05)
-    model = individual_dtwa_model(params, num)
+    model = individual_dtwa_model(params)
     old = os.environ.get(MAX_WORKERS_ENV)
     try:
         os.environ[MAX_WORKERS_ENV] = "1"
@@ -130,7 +130,7 @@ def test_bad_worker_count_is_a_configuration_error(monkeypatch, value):
 def test_same_seed_same_bits_and_new_seed_new_sample():
     params = individual_params(n_atoms=5)
     num = NumericalParams(n_traj=300, seed=3, dt=1e-3, t_max=0.2)
-    model = individual_dtwa_model(params, num)
+    model = individual_dtwa_model(params)
     a = run_ensemble(model, params, num)
     b = run_ensemble(model, params, num)
     np.testing.assert_array_equal(a.sz_mean, b.sz_mean)
@@ -314,7 +314,7 @@ def test_drawing_ahead_gives_the_same_bits(monkeypatch):
     # producer draws ahead, and the last batch of increments is a short one
     params = collective_params(20, g=4.0, kappa=10.0)
     num = NumericalParams(n_traj=300, seed=2, dt=1e-3, t_max=0.2)
-    model = collective_twa_model(params, num)
+    model = collective_twa_model(params)
     nsteps = time_grid(num.dt, num.t_max)[0]
     per = BATCH_BYTES // (8 * num.n_traj * model.noise_dim)
     assert nsteps > 2 * per and nsteps % per
@@ -345,7 +345,7 @@ def test_budget_counts_only_the_cpus_the_process_may_run_on(monkeypatch, cpus):
     threads = spy_fills(monkeypatch)
     params = collective_params(20, g=4.0, kappa=10.0)
     num = NumericalParams(n_traj=300, seed=2, dt=1e-3, t_max=0.05)
-    run_ensemble(collective_twa_model(params, num), params, num)
+    run_ensemble(collective_twa_model(params), params, num)
     assert drew_ahead(threads) == (len(cpus) > 1)
 
 
@@ -354,7 +354,7 @@ def test_every_block_draws_ahead_on_one_producer(monkeypatch):
     # under the cap of 8
     params = individual_params(n_atoms=50)
     num = NumericalParams(n_traj=2 * CHUNK_SIZE, seed=3, dt=1e-3, t_max=0.02)
-    model = individual_dtwa_model(params, num)
+    model = individual_dtwa_model(params)
     assert BLOCK_BYTES < 2 * CHUNK_SIZE * 8 * model.state_dim     # one chunk a block
     nsteps = time_grid(num.dt, num.t_max)[0]
     per = BATCH_BYTES // (8 * CHUNK_SIZE * model.noise_dim)
@@ -463,7 +463,7 @@ def test_dtwa_free_decay_matches_exact_solution():
     # g = 0 closes the z equation: sz_norm(t) = 2 e^{-2 gamma t} - 1
     params = individual_params(n_atoms=50, g=0.0, kappa=0.0)
     num = NumericalParams(n_traj=1500, seed=8, dt=1e-3, t_max=1.5)
-    series = run_ensemble(individual_dtwa_model(params, num), params, num)
+    series = run_ensemble(individual_dtwa_model(params), params, num)
     exact = 25.0 * (2 * np.exp(-2 * series.times) - 1)
     resid = np.abs(series.sz_mean - exact)
     assert np.all(resid <= 3 * np.maximum(series.sz_sem, 1e-12) + 1e-9)

@@ -17,8 +17,7 @@ def iparams(**kw):
 
 
 def model_for(params, n_atoms):
-    return individual_dtwa_model(dataclasses.replace(params, n_atoms=n_atoms),
-                                 NumericalParams())
+    return individual_dtwa_model(dataclasses.replace(params, n_atoms=n_atoms))
 
 
 def row(spins, eta=0j):
@@ -280,8 +279,7 @@ class TestSpinLengthConservation:
 
     def test_integrated_growth_is_first_order_in_dt(self):
         p = iparams(n_atoms=4, g=1.5, detuning=0.3)
-        num = NumericalParams()
-        model = individual_dtwa_model(p, num)
+        model = individual_dtwa_model(p)
         rng = np.random.default_rng(11)
         y0 = model.sample_initial(32, rng)
         errs = []
@@ -303,7 +301,7 @@ class TestAgainstOracle:
         params, num = validate_params(
             individual_params(n_atoms=3, g=2.0, kappa=20.0),
             NumericalParams(n_traj=6000, seed=17, dt=5e-4, t_max=1.5))
-        dtwa = run_ensemble(individual_dtwa_model(params, num), params, num)
+        dtwa = run_ensemble(individual_dtwa_model(params), params, num)
         oracle = solve_oracle(params, num)
         gap = np.max(np.abs(dtwa.sz_norm - oracle.sz_norm))
         assert gap < 0.05

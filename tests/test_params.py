@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +43,20 @@ def test_all_violations_reported_together():
     assert "smoothing window" in messages
 
 
+@pytest.mark.parametrize("n_atoms", [2.5, 4.0])
+def test_non_integer_atom_number_rejected(n_atoms):
+    with pytest.raises(ConfigurationError,
+                       match=f"n_atoms must be an integer, got {n_atoms}"):
+        validate_params(SystemParams(n_atoms, "collective"), NumericalParams())
+
+
+def test_numpy_integer_counts_accepted():
+    num = NumericalParams(n_traj=np.int32(10), seed=np.uint64(1),
+                          smoothing_window=np.int64(5))
+    p, n = validate_params(SystemParams(np.int64(4), "individual"), num)
+    assert (p.n_atoms, n.n_traj, n.seed, n.smoothing_window) == (4, 10, 1, 5)
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(ConfigurationError, match="unknown scheme 'both'"):
         validate_params(SystemParams(2, "both"), NumericalParams())
@@ -70,6 +85,9 @@ def test_non_finite_rate_is_rejected_naming_the_field(field, value, make, n, rat
     ("t_max", math.nan, "t_max = nan"),
     ("t_max", math.inf, "t_max = inf"),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("n_traj", 10.5, "n_traj must be an integer, got 10.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("smoothing_window", 5.0, "smoothing_window must be an integer, got 5.0"),
 ])
 def test_bad_numerics_are_rejected_naming_the_field(field, value, message):
     with pytest.raises(ConfigurationError, match=message):
