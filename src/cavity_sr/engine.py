@@ -12,10 +12,10 @@ thread.
 Statistics are reduced online to a per-chunk (count, mean, M2) per record,
 from a buffer of the latest records about the size of the state block, so
 no per-trajectory record history is kept.  Each sum runs sequentially over
-a chunk's trajectories in row order, the order in which a (records,
-trajectories) history reduced over its trajectory axis is summed, not
-numpy's pairwise order for contiguous data; so a chunk's statistics have
-the same bits whatever block it ran in.  The per-chunk accumulators are
+a chunk's trajectories in row order, not in numpy's pairwise order: the
+buffer is copied trajectory-major and summed over that axis, so numpy adds
+whole rows, vectorized over records, keys and chunks.  A chunk's statistics
+have the same bits whatever block it ran in.  The per-chunk accumulators are
 merged in chunk order with the pairwise mean/variance combination as each
 block returns.
 
@@ -137,9 +137,11 @@ def _moments(x: np.ndarray, shapes):
     for chunks, rows in shapes:
         part = x[..., lo:lo + chunks * rows].reshape(*x.shape[:-1], chunks, rows)
         lo += chunks * rows
-        mean = np.add.accumulate(part, axis=-1)[..., -1] / rows
+        # trajectories outermost, so numpy adds whole rows in order; -0.0 adds nothing
+        part = np.ascontiguousarray(np.moveaxis(part, -1, 0))
+        mean = part.sum(axis=0, initial=-0.0) / rows
         means.append(mean)
-        m2s.append(np.add.accumulate((part - mean[..., None]) ** 2, axis=-1)[..., -1])
+        m2s.append(((part - mean) ** 2).sum(axis=0, initial=-0.0))
     return np.concatenate(means, axis=-1), np.concatenate(m2s, axis=-1)
 
 

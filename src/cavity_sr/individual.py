@@ -29,8 +29,8 @@ The state block is column-major, so each spin column is one contiguous run
 of trajectories, and drift and noise are written into it in place.  Each
 product is rounded in the order the seed-0 digests pin, e.g.
 ((-2 g) Im eta) s_z and (-sqrt(2 gamma) s_y) dW_i.  The atom sums (the
-cavity drive and S_z) run over a row-major copy, in numpy's pairwise order,
-so the kernels give the same bits for a block of either memory order.
+cavity drive and S_z) add spin columns in numpy's pairwise grouping, so
+the kernels give the same bits for a block of either memory order.
 
 The mean-field solver is the free-space reference.  The mean-field equations
 for <sigma_+^i> and <c> are linear and homogeneous in them, so from full
@@ -58,6 +58,30 @@ def _require_individual(params: SystemParams):
         raise ValueError("individual operations need params of the individual scheme")
 
 
+def _pairwise_sum(v):
+    """Sums over axis 1 of a (k, n, rows) view, adding whole columns as numpy's
+    pairwise sum adds a row: in order below 8 terms; to 128, in 8 accumulators
+    over columns i, i + 8, ..., summed as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    + (r6 + r7)), then the n mod 8 left; above 128, as two halves split at n/2
+    rounded down to a multiple of 8.  Like numpy's, each sum starts at +0.0."""
+    n = v.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(v[:, :half]) + _pairwise_sum(v[:, half:])
+    if n < 8:
+        res, rest = v[:, 0] + 0.0, range(1, n)
+    else:
+        r = v[:, :8] + 0.0
+        for i in range(8, n - n % 8, 8):
+            r += v[:, i:i + 8]
+        r = r[:, 0::2] + r[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        res, rest = r[:, 0] + r[:, 1], range(n - n % 8, n)
+    for i in rest:
+        res += v[:, i]
+    return res
+
+
 def individual_dtwa_model(params: SystemParams) -> EnsembleModel:
     """Vectorized DTWA model over a column-major (n_traj, 3N + 2) real state
     block: columns [s_x (N), s_y (N), s_z (N), Re eta, Im eta].
@@ -70,12 +94,12 @@ def individual_dtwa_model(params: SystemParams) -> EnsembleModel:
     n = params.n_atoms
     g, gam, kap, det = params.g, params.gamma, params.kappa, params.detuning
     amp = np.sqrt(2.0 * gam)
+    cavity_amp = np.sqrt(kap / 2.0)
 
     def atom_sums(y, lo, k):
-        """(n_traj, k) sums over the atoms of the k spin components from
-        column lo on, in numpy's pairwise order for contiguous rows."""
-        part = np.ascontiguousarray(y[:, lo:lo + k * n])
-        return part.reshape(-1, k, n).sum(axis=-1)
+        """(k, n_traj) sums over the atoms of the k spin components from
+        column lo on, with the bits of numpy's sum over each row."""
+        return _pairwise_sum(y[:, lo:lo + k * n].T.reshape(k, n, -1))
 
     def sample_initial(m, rng):
         y = np.empty((m, 3 * n + 2), order="F")
@@ -103,7 +127,7 @@ def individual_dtwa_model(params: SystemParams) -> EnsembleModel:
         tmp *= 2.0 * gam
         oz -= tmp
         sums = atom_sums(y, 0, 2)
-        drive = sums[:, 0] - 1j * sums[:, 1]
+        drive = sums[0] - 1j * sums[1]
         eta = y[:, 3 * n] + 1j * y[:, 3 * n + 1]
         d_eta = -1j * det * eta - kap * eta - 0.5j * g * drive
         out[:, 3 * n] = d_eta.real
@@ -119,13 +143,13 @@ def individual_dtwa_model(params: SystemParams) -> EnsembleModel:
         np.add(y[:, 2 * n:3 * n], 1.0, out=oz)
         oz *= amp
         oz *= dw
-        n_eta = np.sqrt(kap / 2.0) * (dW[:, n] + 1j * dW[:, n + 1])
+        n_eta = cavity_amp * (dW[:, n] + 1j * dW[:, n + 1])
         out[:, 3 * n] = n_eta.real
         out[:, 3 * n + 1] = n_eta.imag
 
     def observables(y):
         eta = y[:, 3 * n] + 1j * y[:, 3 * n + 1]
-        return {"sz": 0.5 * atom_sums(y, 2 * n, 1)[:, 0],
+        return {"sz": 0.5 * atom_sums(y, 2 * n, 1)[0],
                 "photon": np.abs(eta) ** 2 - 0.5}
 
     return EnsembleModel(state_dim=3 * n + 2, noise_dim=n + 2,

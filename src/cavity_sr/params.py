@@ -191,5 +191,9 @@ def individual_params(n_atoms: int, g: float = 0.0, kappa: float = 0.0,
 
 def config_echo(params: SystemParams, num: NumericalParams, solver: str) -> dict:
     """The run configuration as recorded in manifest.json and report.json:
-    every field of params and num, and the resolved solver."""
-    return {**asdict(params), **asdict(num), "solver": solver}
+    every field of params and num, and the resolved solver; numpy numbers
+    become int or float, so it is plain JSON and 10 and np.int64(10) agree."""
+    echo = {**asdict(params), **asdict(num), "solver": solver}
+    return {key: int(v) if isinstance(v, numbers.Integral)
+            else float(v) if isinstance(v, numbers.Real) else v
+            for key, v in echo.items()}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from cavity_sr import (IncomparableReportsError, NumericalParams,
                        collective_params, convergence_check, emission_strength,
                        individual_params, moving_average, power_law_fit,
                        scaling_sweep)
+from cavity_sr.fileio import write_report
 
 
 def series_from(times, sz, n_atoms=100, sem=None):
@@ -193,6 +196,22 @@ class TestScalingSweep:
     def test_fingerprint_is_pinned(self, params, num, fingerprint):
         report = scaling_sweep("meanfield", [5, 10, 20], params, num)
         assert report.fingerprint == fingerprint
+
+    def test_numpy_counts_give_the_fingerprint_of_python_ints(self):
+        params = collective_params(5, g=1.0, kappa=2.0)
+        plain = scaling_sweep("meanfield", [5, 10, 20], params, NumericalParams(n_traj=10))
+        numpy = scaling_sweep("meanfield", [5, 10, 20], params,
+                              NumericalParams(n_traj=np.int64(10)))
+        assert numpy.fingerprint == plain.fingerprint
+        assert numpy.config == plain.config
+
+    def test_numpy_scalars_write_a_json_report(self, tmp_path):
+        params = collective_params(np.int64(5), g=np.float32(1.5), kappa=2.0)
+        report = scaling_sweep("meanfield", [5, 10, 20], params,
+                               NumericalParams(n_traj=np.int64(10), seed=np.int32(3)))
+        path = write_report(report, {}, tmp_path / "report.json")
+        config = json.loads(path.read_text())["config"]
+        assert config["n_traj"] == 10 and config["seed"] == 3 and config["g"] == 1.5
 
     @pytest.mark.parametrize("solver", ["twa", "stochastic"])
     def test_solver_must_be_resolved_for_the_scheme(self, solver):

@@ -109,9 +109,10 @@ class TestSimulate:
     # noise stream or the integrator arithmetic changed. twa-blocks spans 24
     # chunks: two state blocks, the last chunk partial; its digest predates
     # the block layout, which must not change the bits.  dtwa-lattice puts a
-    # full and a partial chunk in one block, and its N = 20 atom sums run in
-    # numpy's pairwise order (below 8 terms, as at N = 6, numpy adds
-    # sequentially); its digest predates the column-major DTWA block.
+    # full and a partial chunk in one block, and its N = 20 atom sums add the
+    # spin columns in numpy's pairwise grouping, eight accumulators and four
+    # columns left over (below 8 terms, as at N = 6, they add in order); its
+    # digest predates the column-major DTWA block and the column-wise sums.
     # twa-g10 couples at g = 10, not a power of two, so a reassociated
     # coupling product (g * beta * eta against beta * eta * g) changes
     # its bits.

@@ -289,6 +289,39 @@ def test_online_reduction_matches_history_reduction(fraction):
         np.testing.assert_array_equal(sem, np.sqrt(m2 / (n - 1) / n))
 
 
+def sequential_sum(x):
+    """Sum over the last axis, one trajectory at a time in row order."""
+    total = x[..., 0].copy()
+    for r in range(1, x.shape[-1]):
+        total += x[..., r]
+    return total
+
+
+@pytest.mark.parametrize("depth", [1, 3, 64])
+@pytest.mark.parametrize("shapes", [[(1, CHUNK_SIZE)], [(3, CHUNK_SIZE), (1, 37)],
+                                    [(2, CHUNK_SIZE), (1, 1)]])
+def test_chunk_moments_sum_each_chunk_in_row_order(depth, shapes):
+    # magnitudes spanning 1e-6..1e6 make every reordering of a sum round
+    # differently; one all -0.0 chunk record pins the sign of a zero sum
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((depth, len(KEYS), sum(c * r for c, r in shapes)))
+    x *= 10.0 ** rng.uniform(-6, 6, x.shape)
+    x[0, 0, :CHUNK_SIZE] = -0.0
+    means, m2s = engine._moments(x, shapes)
+    lo, j = 0, 0
+    for chunks, rows in shapes:
+        for _ in range(chunks):
+            part = x[..., lo:lo + rows]
+            mean = sequential_sum(part) / rows
+            m2 = sequential_sum((part - mean[..., None]) ** 2)
+            np.testing.assert_array_equal(means[..., j].view(np.uint64),
+                                          mean.view(np.uint64))
+            np.testing.assert_array_equal(m2s[..., j].view(np.uint64),
+                                          m2.view(np.uint64))
+            lo, j = lo + rows, j + 1
+    assert means.shape == m2s.shape == (depth, len(KEYS), j)
+
+
 def spy_fills(monkeypatch):
     """Record the thread name of every engine._fill call; names, unlike
     thread idents, are not reused by later threads."""

@@ -6,6 +6,7 @@ import pytest
 from cavity_sr import (NumericalParams, individual_dtwa_model,
                        individual_params, run_ensemble,
                        solve_meanfield_individual, validate_params)
+from cavity_sr.individual import _pairwise_sum
 from cavity_sr.params import SystemParams
 
 
@@ -227,11 +228,24 @@ class TestMemoryOrder:
             y += d * 1e-3 + z
         return model, y, dW
 
+    def test_column_sums_have_the_bits_of_numpys_row_sums(self):
+        # every atom count up to two recursion levels; magnitudes spanning
+        # 1e-6..1e6 make every regrouping round differently, and rows of
+        # -0.0 sum to +0.0 in numpy
+        rng = np.random.default_rng(9)
+        for n in range(1, 300):
+            x = rng.standard_normal((16, n)) * 10.0 ** rng.uniform(-6, 6, (16, n))
+            x[:2] = -0.0
+            want = np.ascontiguousarray(x).sum(axis=-1)
+            for block in (np.ascontiguousarray(x), np.asfortranarray(x)):
+                got = _pairwise_sum(block.T.reshape(1, n, -1))[0]
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_sample_initial_is_column_major(self):
         y = model_for(iparams(n_atoms=3), 3).sample_initial(10, np.random.default_rng(0))
         assert y.flags.f_contiguous and not y.flags.c_contiguous
 
-    @pytest.mark.parametrize("n_atoms", [3, 50])
+    @pytest.mark.parametrize("n_atoms", [3, 8, 50, 129, 300])
     def test_kernels_give_the_same_bits_in_either_order(self, n_atoms):
         model, y, dW = self.stepped_block(n_atoms)
         results = []
@@ -245,7 +259,7 @@ class TestMemoryOrder:
             np.testing.assert_array_equal(c_order.view(np.uint64),
                                           f_order.view(np.uint64))
 
-    @pytest.mark.parametrize("n_atoms", [3, 50])
+    @pytest.mark.parametrize("n_atoms", [3, 8, 50, 129, 300])
     def test_kernels_match_the_row_major_formulas_bit_for_bit(self, n_atoms):
         model, y, dW = self.stepped_block(n_atoms)
         d, z = np.empty_like(y), np.empty_like(y)
