@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
 
@@ -146,7 +147,11 @@ def _fingerprint(config: dict) -> str:
 
 
 def atom_numbers(n_list: Sequence[int]) -> List[int]:
-    """n_list as ints if it holds at least 3 distinct values >= 1."""
+    """n_list as ints if it holds at least 3 distinct integers >= 1, numpy
+    integers included."""
+    bad = [n for n in n_list if not isinstance(n, numbers.Integral)]
+    if bad:
+        raise ValueError(f"atom numbers in n_list must be integers, got {bad}")
     ns = [int(n) for n in n_list]
     if len(ns) < 3:
         raise ValueError("n_list needs at least 3 atom numbers")

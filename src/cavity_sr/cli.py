@@ -138,8 +138,8 @@ def _cmd_fit(args) -> int:
 
 def _read_checked_report(path):
     """read_report plus what check compares: config keys dt, n_traj, t_max and
-    seed, a finite zeta and positive finite dt (one per N) and n_traj; else a
-    ValueError naming the file and the field."""
+    seed, a finite zeta and positive finite dt (one per N) and n_traj, none
+    of them a bool; else a ValueError naming the file and the field."""
     report = read_report(path)
     config = report.config if isinstance(report.config, dict) else {}
     missing = {"dt", "n_traj", "t_max", "seed"} - config.keys()
@@ -148,7 +148,7 @@ def _read_checked_report(path):
     for name, value, low in (("zeta", report.zeta, -math.inf), ("config dt", config["dt"], 0),
                              ("config n_traj", config["n_traj"], 0)):
         values = value if isinstance(value, list) else [value]
-        if not all(isinstance(v, (int, float)) and low < v < math.inf for v in values):
+        if not all(type(v) in (int, float) and low < v < math.inf for v in values):
             raise ValueError(f"report {path}: {name} must hold numbers in ({low}, inf), "
                              f"got {value!r}")
     return report

@@ -9,15 +9,17 @@ all their chunks in one block, a wide DTWA state one chunk per block (see
 BLOCK_BYTES).  Blocks run one after another, in chunk order, on the calling
 thread.
 
-Statistics are reduced online to a per-chunk (count, mean, M2) per record,
-from a buffer of the latest records about the size of the state block, so
-no per-trajectory record history is kept.  Each sum runs sequentially over
-a chunk's trajectories in row order, not in numpy's pairwise order: the
-buffer is copied trajectory-major and summed over that axis, so numpy adds
-whole rows, vectorized over records, keys and chunks.  A chunk's statistics
-have the same bits whatever block it ran in.  The per-chunk accumulators are
-merged in chunk order with the pairwise mean/variance combination as each
-block returns.
+Statistics are reduced online to one (count, mean, M2) per chunk, mean and
+M2 being (records, KEYS) arrays over both observables, from a buffer of the
+latest records about the size of the state block, so no per-trajectory
+record history is kept.  Each sum runs sequentially over a chunk's
+trajectories in row order, not in numpy's pairwise order: the buffer is
+copied trajectory-major and summed over that axis, so numpy adds whole rows,
+vectorized over records, keys and chunks.  A chunk's statistics have the
+same bits whatever block it ran in.  As each block returns, its chunks'
+accumulators are merged in chunk order into one accumulator over both
+observables, element by element, with the pairwise mean/variance
+combination.
 
 A trajectory that turns non-finite is excluded, but that is known only at
 the end of the run; a chunk that had one is integrated again alone, from
@@ -50,6 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Callable, Dict
 
 import numpy as np
@@ -197,24 +200,22 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     """Integrate the consecutive chunks first, first + 1, ... as one state
     block.
 
-    Returns per-chunk {observable: (count, mean, M2)} and per-chunk masks
-    of the trajectories that stayed finite.  Each chunk samples and draws
-    from its own stream, so every trajectory has the bits it has when its
-    chunk runs alone.  keep (one chunk only) leaves trajectories out of the
-    reduction; without it, a chunk with a non-finite trajectory has
-    non-finite statistics.  producer, if not None, draws the Wiener
-    increments ahead (see _increments).
+    Returns one (count, mean, M2) per chunk, mean and M2 being (records,
+    KEYS) arrays over both observables, and per-chunk masks of the
+    trajectories that stayed finite.  Each chunk samples and draws from its
+    own stream, so every trajectory has the bits it has when its chunk runs
+    alone.  keep (one chunk only) leaves trajectories out of the reduction;
+    without it, a chunk with a non-finite trajectory has non-finite
+    statistics.  producer, if not None, draws the Wiener increments ahead
+    (see _increments).
     """
     rngs = [chunk_stream(master_seed, first + j) for j in range(len(sizes))]
     y = np.concatenate([model.sample_initial(n, rng) for n, rng in zip(sizes, rngs)])
     drift = np.empty_like(y)
     noise = np.empty_like(y)
     bounds = np.cumsum([0] + sizes).tolist()
-    if keep is None:
-        full = len(sizes) - (sizes[-1] != CHUNK_SIZE)
-        shapes = [(full, CHUNK_SIZE)] + [(1, sizes[-1])] * (full < len(sizes))
-    else:
-        shapes = [(1, int(keep.sum()))]
+    counts = sizes if keep is None else [int(keep.sum())]
+    shapes = [(len(list(group)), rows) for rows, group in groupby(counts)]
     n_rec = nsteps // stride + 1
     mean = np.empty((n_rec, len(KEYS), len(sizes)))
     m2 = np.empty_like(mean)
@@ -248,32 +249,8 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
             y += drift
             y += noise
     finite &= np.isfinite(y).all(axis=1)
-    counts = [rows for chunks, rows in shapes for _ in range(chunks)]
-    stats = [{key: (n, mean[:, i, j], m2[:, i, j]) for i, key in enumerate(KEYS)}
-             for j, n in enumerate(counts)]
-    return stats, [finite[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _run_chunks(model: EnsembleModel, first: int, sizes: list, master_seed: int,
-                dt: float, nsteps: int, stride: int, producer):
-    """Per-chunk statistics of one block and its number of divergent
-    trajectories.
-
-    A chunk with a divergent trajectory is integrated again alone, its
-    divergent rows left out of the reduction; that is rare, and cheaper than
-    keeping every trajectory's record history for it.
-    """
-    stats, finite = _run_block(model, first, sizes, master_seed, dt, nsteps, stride,
-                               producer)
-    for j, keep in enumerate(finite):
-        if keep.all():
-            continue
-        if keep.any():
-            stats[j] = _run_block(model, first + j, [sizes[j]], master_seed,
-                                  dt, nsteps, stride, producer, keep)[0][0]
-        else:
-            stats[j] = {key: (0, mean, m2) for key, (_, mean, m2) in stats[j].items()}
-    return stats, sum(int(len(keep) - keep.sum()) for keep in finite)
+    stats = [(n, mean[..., j], m2[..., j]) for j, n in enumerate(counts)]
+    return stats, np.split(finite, bounds[1:-1])
 
 
 def _merge(a, b):
@@ -308,35 +285,36 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
 
     per_block = max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * model.state_dim))
     n_div = 0
-    totals = {k: (0, np.zeros(len(times)), np.zeros(len(times))) for k in KEYS}
+    total = (0, None, None)
     # the budget's second thread, if any, draws every block's increments ahead
     with (ThreadPoolExecutor(max_workers=1) if thread_budget() >= 2
           else nullcontext()) as producer:
         for first in range(0, len(sizes), per_block):
-            block, divergent = _run_chunks(model, first, sizes[first:first + per_block],
-                                           num.seed, num.dt, nsteps, stride, producer)
-            n_div += divergent
-            for stats in block:
-                for key in totals:
-                    totals[key] = _merge(totals[key], stats[key])
+            block = sizes[first:first + per_block]
+            stats, finite = _run_block(model, first, block, num.seed, num.dt, nsteps,
+                                       stride, producer)
+            for j, keep in enumerate(finite):
+                if not keep.all():
+                    # integrate the chunk again alone without its divergent
+                    # rows: rare, and cheaper than keeping every
+                    # trajectory's record history for it
+                    n_div += len(keep) - int(keep.sum())
+                    stats[j] = (_run_block(model, first + j, [block[j]], num.seed, num.dt,
+                                           nsteps, stride, producer, keep)[0][0]
+                                if keep.any() else (0, None, None))
+                total = _merge(total, stats[j])
 
-    n = totals["sz"][0]
+    n, mean, m2 = total
     if n == 0:
         raise EnsembleDivergenceError(
             f"all {num.n_traj} trajectories diverged (dt = {num.dt})")
     if n_div:
         warnings.warn(f"excluded {n_div} divergent trajectories of {num.n_traj}",
                       stacklevel=2)
-
-    def sem(acc):
-        cnt, _, m2 = acc
-        if cnt < 2:
-            return np.zeros(len(times))
-        return np.sqrt(m2 / (cnt - 1) / cnt)
-
+    sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
+    # columns in KEYS order
     return ObservableSeries(
-        times=times,
-        sz_mean=totals["sz"][1], sz_sem=sem(totals["sz"]),
-        photon_mean=totals["photon"][1], photon_sem=sem(totals["photon"]),
+        times=times, sz_mean=mean[:, 0], sz_sem=sem[:, 0],
+        photon_mean=mean[:, 1], photon_sem=sem[:, 1],
         n_atoms=params.n_atoms, n_trajectories=n, n_divergent=n_div,
     )

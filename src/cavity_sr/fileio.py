@@ -50,7 +50,7 @@ def write_report(report: ScalingReport, manifest: dict, path) -> Path:
 
 def read_report(path) -> ScalingReport:
     """Load a report JSON; invalid JSON, a missing required key or a
-    malformed point raises ValueError naming the file."""
+    malformed point raises ValueError naming the file (and the point)."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -58,7 +58,7 @@ def read_report(path) -> ScalingReport:
     if not isinstance(raw, dict):
         raise ValueError(f"report {path} is not a JSON object")
     try:
-        return ScalingReport(
+        report = ScalingReport(
             points=[(p["n"], p["intensity"], p.get("sem", 0.0)) for p in raw["points"]],
             zeta=raw["zeta"], intercept=raw["intercept"], r_squared=raw["r_squared"],
             zeta_stderr=raw.get("zeta_stderr", 0.0), config=raw.get("config", {}),
@@ -68,6 +68,12 @@ def read_report(path) -> ScalingReport:
     except TypeError:
         raise ValueError(f"report {path}: points must be objects with keys "
                          "n, intensity[, sem]") from None
+    for k, point in enumerate(report.points):
+        # JSON numbers load as int or float; a bool is an int subclass
+        if not all(type(v) in (int, float) for v in point):
+            raise ValueError(f"report {path}: point {k} must hold numbers n, "
+                             f"intensity[, sem], got {raw['points'][k]!r}")
+    return report
 
 
 def read_points_file(path) -> List[tuple]:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,21 @@ class TestScalingSweep:
         path = write_report(report, {}, tmp_path / "report.json")
         config = json.loads(path.read_text())["config"]
         assert config["n_traj"] == 10 and config["seed"] == 3 and config["g"] == 1.5
+
+    @pytest.mark.parametrize("n_list, bad", [
+        ([50.9, 100, 200], "[50.9]"),
+        (["5", "6", "7"], "['5', '6', '7']"),
+        ([5, 10.0, 20], "[10.0]"),
+    ], ids=["fraction", "strings", "integral-floats"])
+    def test_non_integer_atom_numbers_are_rejected(self, n_list, bad):
+        with pytest.raises(ValueError, match=f"must be integers, got {re.escape(bad)}"):
+            scaling_sweep("meanfield", n_list, collective_params(50), NumericalParams())
+
+    def test_numpy_integer_atom_numbers_are_accepted(self):
+        report = scaling_sweep("meanfield", np.array([5, 10, 20]), collective_params(5),
+                               NumericalParams(n_traj=1))
+        assert [n for n, _, _ in report.points] == [5, 10, 20]
+        assert all(type(n) is int for n, _, _ in report.points)
 
     @pytest.mark.parametrize("solver", ["twa", "stochastic"])
     def test_solver_must_be_resolved_for_the_scheme(self, solver):

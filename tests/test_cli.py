@@ -21,6 +21,9 @@ NO_CONFIG = '{%s, "zeta": 2}' % POINTS
 CONFIG = '"config": {"dt": [0.01, 0.01, 0.01], "n_traj": %s, "t_max": null, "seed": 0}'
 ZERO_TRAJECTORIES = '{%s, "zeta": 2, %s}' % (POINTS, CONFIG % 0)
 STRING_ZETA = '{%s, "zeta": "2", %s}' % (POINTS, CONFIG % 300)
+BOOL_TRAJECTORIES = '{%s, "zeta": 2, %s}' % (POINTS, CONFIG % "true")
+STRING_ATOM_NUMBER = NO_CONFIG.replace('"n": 10', '"n": "abc"')
+BOOL_INTENSITY = NO_CONFIG.replace('"intensity": 400', '"intensity": true')
 
 
 def run_cli(*argv):
@@ -302,6 +305,14 @@ class TestFit:
         pytest.param("check", ZERO_TRAJECTORIES, "config n_traj must hold numbers in (0, inf)",
                      id="check-zero-trajectories"),
         pytest.param("check", STRING_ZETA, "zeta must hold numbers", id="check-string-zeta"),
+        pytest.param("check", BOOL_TRAJECTORIES, "config n_traj must hold numbers in (0, inf)",
+                     id="check-bool-trajectories"),
+        pytest.param("fit", STRING_ATOM_NUMBER, "point 0 must hold numbers",
+                     id="fit-string-atom-number"),
+        pytest.param("check", STRING_ATOM_NUMBER, "point 0 must hold numbers",
+                     id="check-string-atom-number"),
+        pytest.param("fit", BOOL_INTENSITY, "point 1 must hold numbers",
+                     id="fit-bool-intensity"),
     ])
     def test_report_without_required_key_names_file_and_key(self, tmp_path, capsys,
                                                             command, text, fragment):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -134,7 +135,6 @@ def test_same_seed_same_bits_and_new_seed_new_sample():
     a = run_ensemble(model, params, num)
     b = run_ensemble(model, params, num)
     np.testing.assert_array_equal(a.sz_mean, b.sz_mean)
-    import dataclasses
     c = run_ensemble(model, params, dataclasses.replace(num, seed=4))
     assert not np.array_equal(a.sz_mean, c.sz_mean)
 
@@ -430,6 +430,42 @@ def test_rerun_of_divergent_chunks_matches_history_reduction(monkeypatch, worker
     with np.errstate(over="ignore", invalid="ignore"):
         totals, n_div = history_reduction(model, num)
     assert series.n_divergent == n_div > 1
+    for key, mean, sem in (("sz", series.sz_mean, series.sz_sem),
+                           ("photon", series.photon_mean, series.photon_sem)):
+        n, ref_mean, m2 = totals[key]
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(sem, np.sqrt(m2 / (n - 1) / n))
+
+
+def chunk_divergent_model(fraction, sigma):
+    """divergent_model whose blow-up marker is drawn once per chunk, ahead
+    of the chunk's initial sz: a chunk diverges wholly or not at all."""
+    model = divergent_model(fraction, sigma)
+
+    def sample(n, rng):
+        y = np.empty((n, 2))
+        y[:, 1] = rng.uniform(0, 1)
+        y[:, 0] = rng.standard_normal(n)
+        return y
+    return dataclasses.replace(model, sample_initial=sample)
+
+
+@pytest.mark.filterwarnings("ignore:excluded")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_wholly_divergent_chunk_counts_zero_between_finite_chunks(monkeypatch, workers):
+    # one block of chunks 0, 1 and a partial 2 whose markers are 0.904,
+    # 0.977 and 0.085: only chunk 1 diverges, every row of it, so it merges
+    # as an empty accumulator after chunk 0 and before chunk 2
+    monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+    num = NumericalParams(n_traj=600, seed=4, dt=0.01, t_max=0.5)
+    markers = [chunk_stream(num.seed, c).uniform(0, 1) for c in range(3)]
+    assert [m > 0.95 for m in markers] == [False, True, False]
+    model = chunk_divergent_model(0.05, sigma=0.3)
+    series = run_ensemble(model, individual_params(n_atoms=1), num)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, n_div = history_reduction(model, num)
+    assert series.n_divergent == n_div == CHUNK_SIZE
+    assert series.n_trajectories == num.n_traj - CHUNK_SIZE
     for key, mean, sem in (("sz", series.sz_mean, series.sz_sem),
                            ("photon", series.photon_mean, series.photon_sem)):
         n, ref_mean, m2 = totals[key]
