@@ -18,7 +18,9 @@ import numpy as np
 
 from .params import NumericalParams, SystemParams, config_echo, validate_params
 from .runners import simulate_timeseries
-from .series import ObservableSeries
+from .series import ObservableSeries, time_grid
+
+EMISSION_WINDOW = 5     # points of emission_strength's centred moving average
 
 
 class UnresolvedBurstError(RuntimeError):
@@ -33,7 +35,6 @@ class IncomparableReportsError(ValueError):
 class EmissionMeasurement:
     intensity: float            # units of the active decay rate times atoms
     t0: float
-    smoothing_window: int = 5
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,14 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return (csum[i + w + 1] - csum[i - w]) / (2 * w + 1)
 
 
-def emission_strength(series: ObservableSeries,
-                      smoothing_window: int = 5) -> EmissionMeasurement:
-    """Peak of -d<S_z>/dt: moving-average smoothing followed by central
-    differences (one-sided at the endpoints).  Ties break to the earliest
-    grid point; a maximum on the final grid point raises UnresolvedBurstError.
+def emission_strength(series: ObservableSeries) -> EmissionMeasurement:
+    """Peak of -d<S_z>/dt: an EMISSION_WINDOW-point moving average, then
+    central differences (one-sided at the endpoints).  Ties break to the
+    earliest grid point; a maximum on the last grid point raises UnresolvedBurstError.
     """
     if len(series.times) < 3:
         raise ValueError("series too short for derivative estimation")
-    smoothed = moving_average(series.sz_mean, smoothing_window)
+    smoothed = moving_average(series.sz_mean, EMISSION_WINDOW)
     slope = -np.gradient(smoothed, series.times)
     peak = slope.max()
     # earliest grid point among float-equal maxima
@@ -89,8 +89,7 @@ def emission_strength(series: ObservableSeries,
             f"maximum emission at t_max = {series.times[-1]:.4g}; "
             "the burst is not resolved within the horizon")
     return EmissionMeasurement(intensity=float(slope[idx]),
-                               t0=float(series.times[idx]),
-                               smoothing_window=smoothing_window)
+                               t0=float(series.times[idx]))
 
 
 def emission_uncertainty(series: ObservableSeries, measurement: EmissionMeasurement) -> float:
@@ -105,8 +104,7 @@ def emission_uncertainty(series: ObservableSeries, measurement: EmissionMeasurem
     dt = series.times[hi] - series.times[lo]
     if dt == 0:
         return 0.0
-    w = max(1, measurement.smoothing_window)
-    sem = np.hypot(series.sz_sem[lo], series.sz_sem[hi]) / np.sqrt(w)
+    sem = np.hypot(series.sz_sem[lo], series.sz_sem[hi]) / np.sqrt(EMISSION_WINDOW)
     return float(sem / dt)
 
 
@@ -146,10 +144,13 @@ def _fingerprint(config: dict) -> str:
         json.dumps(config, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def atom_numbers(n_list: Sequence[int]) -> List[int]:
-    """n_list as ints if it holds at least 3 distinct integers >= 1, numpy
-    integers included."""
-    bad = [n for n in n_list if not isinstance(n, numbers.Integral)]
+def sweep_configs(n_list: Sequence[int], params: SystemParams,
+                  num: NumericalParams) -> List[Tuple[SystemParams, NumericalParams]]:
+    """The validated (params, num) of each N of n_list, dt and t_max resolved
+    per N.  n_list must hold at least 3 distinct integers >= 1 (numpy integers
+    included, bools not), and each N's time grid the 3 points emission_strength
+    needs; else a ValueError names the entries or the first N at fault."""
+    bad = [n for n in n_list if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
     if bad:
         raise ValueError(f"atom numbers in n_list must be integers, got {bad}")
     ns = [int(n) for n in n_list]
@@ -159,7 +160,12 @@ def atom_numbers(n_list: Sequence[int]) -> List[int]:
         raise ValueError(f"atom numbers in n_list must be distinct, got {ns}")
     if min(ns) < 1:
         raise ValueError(f"atom numbers in n_list must be >= 1, got {ns}")
-    return ns
+    configs = [validate_params(replace(params, n_atoms=n), num) for n in ns]
+    for p_n, num_n in configs:
+        if len(time_grid(num_n.dt, num_n.t_max)[2]) < 3:
+            raise ValueError(f"N = {p_n.n_atoms}: dt = {num_n.dt} and t_max = {num_n.t_max} "
+                             "give fewer than the 3 grid points the emission estimate needs")
+    return configs
 
 
 def scaling_sweep(solver: str, n_list: Sequence[int], params: SystemParams,
@@ -169,25 +175,22 @@ def scaling_sweep(solver: str, n_list: Sequence[int], params: SystemParams,
 
     dt and t_max follow the N-adapted defaults unless given explicitly; any
     unresolved burst aborts the fit.  The report records per-N divergent
-    trajectory counts and a configuration fingerprint.  n_list is checked
-    as a whole (atom_numbers) before the first solve.
+    trajectory counts and a configuration fingerprint.  Every N is checked
+    (sweep_configs) before the first solve.
     """
-    ns = atom_numbers(n_list)
+    configs = sweep_configs(n_list, params, num)
     points = []
     divergent = []
-    dts = []
-    for n in ns:
-        p_n = replace(params, n_atoms=n)
-        p_n, num_n = validate_params(p_n, num)
+    for p_n, num_n in configs:
         series = simulate_timeseries(solver, p_n, num_n)
-        measurement = emission_strength(series, num_n.smoothing_window)
-        points.append((n, measurement.intensity,
+        measurement = emission_strength(series)
+        points.append((p_n.n_atoms, measurement.intensity,
                        emission_uncertainty(series, measurement)))
         divergent.append(series.n_divergent)
-        dts.append(num_n.dt)
 
     fit = power_law_fit([(n, i) for n, i, _ in points])
-    config = {**config_echo(params, num, solver), "n_list": ns, "dt": dts}
+    config = {**config_echo(params, num, solver), "n_list": [n for n, _, _ in points],
+              "dt": [num_n.dt for _, num_n in configs]}
     del config["n_atoms"]
     return ScalingReport(points=points, zeta=fit.zeta, intercept=fit.intercept,
                          r_squared=fit.r_squared, zeta_stderr=fit.zeta_stderr,
@@ -213,7 +216,7 @@ def convergence_check(report_a: ScalingReport, report_b: ScalingReport) -> Conve
     ca.pop("t_max"), cb.pop("t_max")
     ca.pop("seed"), cb.pop("seed")
     if ca != cb:
-        diff = {k for k in ca if ca.get(k) != cb.get(k)}
+        diff = {k for k in ca.keys() | cb.keys() if ca.get(k) != cb.get(k)}
         raise IncomparableReportsError(f"reports differ in {sorted(diff)}")
 
     ratios = {round(a / b, 6) for a, b in zip(np.atleast_1d(dt_a), np.atleast_1d(dt_b))}

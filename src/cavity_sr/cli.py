@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (ConvergenceVerdict, IncomparableReportsError,
-                       UnresolvedBurstError, atom_numbers, convergence_check,
-                       power_law_fit, scaling_sweep)
+                       UnresolvedBurstError, convergence_check, power_law_fit,
+                       scaling_sweep, sweep_configs)
 from .engine import thread_budget
 from .fileio import (read_points_file, read_report, write_manifest, write_report,
                      write_timeseries)
@@ -45,14 +45,13 @@ def _add_physics_flags(p: argparse.ArgumentParser):
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--trajectories", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smoothing-window", type=int, default=5)
 
 
 def _raw_config(args, n_atoms: int):
     params = SystemParams(n_atoms, args.scheme, args.g, args.kappa, args.gamma,
                           args.detuning)
     num = NumericalParams(n_traj=args.trajectories, seed=args.seed, dt=args.dt,
-                          t_max=args.t_max, smoothing_window=args.smoothing_window)
+                          t_max=args.t_max)
     return params, num
 
 
@@ -103,14 +102,14 @@ def _parse_n_list(text: str) -> list[int]:
             errors.append(f"--n-list entry {entry!r} in {text!r} is not an integer")
     if errors:
         raise ConfigurationError(errors)
-    return atom_numbers(n_list)
+    return n_list
 
 
 def _cmd_sweep(args) -> int:
     n_list = _parse_n_list(args.n_list)
     # keep dt / t_max unresolved so the sweep adapts them per N
     params, num = _raw_config(args, n_list[0])
-    validate_params(params, num)
+    sweep_configs(n_list, params, num)
 
     def solve(solver):
         report = scaling_sweep(solver, n_list, params, num)

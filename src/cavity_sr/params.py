@@ -55,7 +55,6 @@ class NumericalParams:
     seed: int = 0
     dt: float | None = None
     t_max: float | None = None
-    smoothing_window: int = 5
 
 
 def _cavity_collective_rate(params: SystemParams) -> float:
@@ -117,10 +116,10 @@ def _check_finite(owner, names, errors: list) -> None:
 
 
 def _is_integer(owner, name, errors: list) -> bool:
-    """Whether the field is an integer, numpy integers included; if not,
-    appends an error naming it."""
+    """Whether the field is an integer, numpy integers included and bools
+    not; if not, appends an error naming it."""
     value = getattr(owner, name)
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         errors.append(f"{name} must be an integer, got {value!r}")
         return False
     return True
@@ -150,9 +149,6 @@ def _check_numerics(num: NumericalParams, errors: list) -> None:
         errors.append(f"t_max must be positive, got {num.t_max}")
     if (num.dt is not None and num.t_max is not None and num.dt > num.t_max):
         errors.append(f"dt = {num.dt} exceeds t_max = {num.t_max}")
-    if _is_integer(num, "smoothing_window", errors) and (
-            num.smoothing_window < 1 or num.smoothing_window % 2 == 0):
-        errors.append(f"smoothing window must be odd and >= 1, got {num.smoothing_window}")
 
 
 def validate_params(params: SystemParams, num: NumericalParams):

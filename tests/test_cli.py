@@ -94,7 +94,7 @@ class TestSimulate:
         assert manifest["config"]["dt"] is not None
         assert set(manifest["config"]) == {
             "scheme", "solver", "n_atoms", "g", "kappa", "gamma", "detuning",
-            "dt", "t_max", "n_traj", "seed", "smoothing_window"}
+            "dt", "t_max", "n_traj", "seed"}
         sz_norm = read_columns(csv)[3]
         assert sz_norm[0] == pytest.approx(1.0)
 
@@ -173,6 +173,15 @@ class TestValidationAndExitCodes:
                        "meanfield", "--n-atoms", "5", "--frobnicate", "1",
                        "--out", str(tmp_path))
         assert code == 1
+
+    def test_smoothing_window_is_not_an_option(self, tmp_path):
+        # the emission estimator's window is fixed (analysis.EMISSION_WINDOW)
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--scheme", "collective", "--solver",
+                       "meanfield", "--n-atoms", "5", "--smoothing-window", "5",
+                       "--out", str(out))
+        assert code == 1
+        assert not out.exists()
 
     def test_bad_parameters_fail_validation(self, tmp_path, capsys):
         code = run_cli("simulate", "--scheme", "collective", "--solver",
@@ -348,6 +357,22 @@ class TestSweepAndCheck:
                                  NumericalParams())
         assert read_report(out / "report.json").zeta == expected.zeta
 
+    # float.hex of the seed-0 report (numpy 2.4.6): the timeseries digests
+    # above pin the series, these pin what the estimator and the fit read
+    # off them, so a change to the emission estimate moves them
+    def test_seed_zero_sweep_report_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--scheme", "collective", "--solver", "twa",
+                       "--n-list", "10,20,40", "--g", "10", "--kappa", "100",
+                       "--trajectories", "300", "--seed", "0", "--out", str(out)) == 0
+        report = read_report(out / "report.json")
+        assert [(n, i.hex(), sem.hex()) for n, i, sem in report.points] == [
+            (10, "0x1.6e3b2f3533358p+6", "0x1.5ebbc4cfec8f2p+5"),
+            (20, "0x1.392a9bbe1b7bdp+8", "0x1.9423ae4d891f7p+6"),
+            (40, "0x1.12f1b5f28c34bp+10", "0x1.917c372176615p+7"),
+        ]
+        assert report.zeta.hex() == "0x1.cb0ea25e2ae2ap+0"
+
     def test_report_embeds_the_run_record_without_outputs(self, tmp_path, capsys):
         # the run record is embedded before report.json exists; only
         # manifest.json lists the digests of the files the run wrote
@@ -383,8 +408,10 @@ class TestSweepAndCheck:
         (["--n-list", "50,100,200", "--detuning", "inf"], "detuning = inf"),
         (["--solver", "oracle", "--scheme", "individual", "--n-list", "2,5,7"],
          "individual oracle limited to N <= 6"),
+        (["--n-list", "5,10,20", "--dt", "0.0001", "--t-max", "0.0001"],
+         "N = 5: dt = 0.0001 and t_max = 0.0001 give fewer than the 3 grid points"),
     ], ids=["duplicate-n", "zero-n", "zero-trajectories", "non-integer-n",
-            "empty-n", "inf-detuning", "oracle-n-7"])
+            "empty-n", "inf-detuning", "oracle-n-7", "two-point-grid"])
     def test_bad_sweep_input_fails_before_any_solve(self, tmp_path, monkeypatch,
                                                     capsys, extra, message):
         calls = count_solves(monkeypatch)

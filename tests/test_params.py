@@ -31,7 +31,7 @@ def test_zero_atoms_rejected():
 def test_all_violations_reported_together():
     params = SystemParams(n_atoms=0, scheme="collective", g=-1.0, kappa=-2.0,
                           gamma=-1.0)
-    num = NumericalParams(n_traj=0, dt=2.0, t_max=1.0, smoothing_window=4)
+    num = NumericalParams(n_traj=0, dt=2.0, t_max=1.0)
     with pytest.raises(ConfigurationError) as err:
         validate_params(params, num)
     messages = " ".join(err.value.errors)
@@ -40,10 +40,9 @@ def test_all_violations_reported_together():
     assert "g" in messages and "kappa" in messages
     assert "negative rate: gamma = -1.0" in messages
     assert "exceeds t_max" in messages
-    assert "smoothing window" in messages
 
 
-@pytest.mark.parametrize("n_atoms", [2.5, 4.0])
+@pytest.mark.parametrize("n_atoms", [2.5, 4.0, True])
 def test_non_integer_atom_number_rejected(n_atoms):
     with pytest.raises(ConfigurationError,
                        match=f"n_atoms must be an integer, got {n_atoms}"):
@@ -51,20 +50,14 @@ def test_non_integer_atom_number_rejected(n_atoms):
 
 
 def test_numpy_integer_counts_accepted():
-    num = NumericalParams(n_traj=np.int32(10), seed=np.uint64(1),
-                          smoothing_window=np.int64(5))
+    num = NumericalParams(n_traj=np.int32(10), seed=np.uint64(1))
     p, n = validate_params(SystemParams(np.int64(4), "individual"), num)
-    assert (p.n_atoms, n.n_traj, n.seed, n.smoothing_window) == (4, 10, 1, 5)
+    assert (p.n_atoms, n.n_traj, n.seed) == (4, 10, 1)
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ConfigurationError, match="unknown scheme 'both'"):
         validate_params(SystemParams(2, "both"), NumericalParams())
-
-
-def test_even_smoothing_window_rejected():
-    with pytest.raises(ConfigurationError, match="smoothing window"):
-        validate_params(collective_params(4), NumericalParams(smoothing_window=2))
 
 
 @given(field=st.sampled_from(["g", "kappa", "gamma", "detuning"]),
@@ -87,7 +80,8 @@ def test_non_finite_rate_is_rejected_naming_the_field(field, value, make, n, rat
     ("seed", -1, "seed must be a non-negative integer, got -1"),
     ("n_traj", 10.5, "n_traj must be an integer, got 10.5"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
-    ("smoothing_window", 5.0, "smoothing_window must be an integer, got 5.0"),
+    ("n_traj", True, "n_traj must be an integer, got True"),
+    ("seed", False, "seed must be an integer, got False"),
 ])
 def test_bad_numerics_are_rejected_naming_the_field(field, value, message):
     with pytest.raises(ConfigurationError, match=message):
