@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, replace
 
 SCHEME_COLLECTIVE = "collective"
@@ -157,7 +158,8 @@ def validate_params(params: SystemParams, num: NumericalParams):
     Returns a (SystemParams, NumericalParams) pair with the dt / t_max
     defaults filled in.  Raises ConfigurationError carrying the complete list
     of violations (including any NaN or infinite rate, detuning, dt or t_max,
-    and any count that is not an integer) otherwise.
+    any count that is not an integer, and a dt / t_max pair whose step count
+    is infinite or exceeds sys.maxsize) otherwise.
     Idempotent: validating an already validated pair returns it unchanged.
     """
     errors: list = []
@@ -168,6 +170,10 @@ def validate_params(params: SystemParams, num: NumericalParams):
     dt = num.dt if num.dt is not None else default_time_step(params)
     t_max = num.t_max if num.t_max is not None else default_horizon(params)
     t_max = max(t_max, dt)
+    steps = t_max / dt
+    if not math.isfinite(steps) or round(steps) > sys.maxsize:
+        raise ConfigurationError([f"dt = {dt} and t_max = {t_max} give t_max/dt = "
+                                  f"{steps:g} steps, more than {sys.maxsize}"])
     if num.dt != dt or num.t_max != t_max:
         num = replace(num, dt=dt, t_max=t_max)
     return params, num

@@ -204,10 +204,16 @@ class TestValidationAndExitCodes:
          "g = inf"),
         (["simulate", "--solver", "twa", "--n-atoms", "10", "--seed", "-1"],
          "seed must be a non-negative integer, got -1"),
-        (["simulate", "--solver", "oracle", "--n-atoms", "41"],
-         "collective oracle limited to N <= 40"),
+        (["simulate", "--solver", "oracle", "--n-atoms", "61"],
+         "collective oracle limited to N <= 60"),
+        (["simulate", "--solver", "twa", "--n-atoms", "3", "--dt", "1e-300",
+          "--t-max", "1"], "dt = 1e-300 and t_max = 1.0 give t_max/dt = 1e+300 steps"),
+        # the default dt, 0.5/kappa, is subnormal, so t_max/dt overflows
+        (["simulate", "--solver", "oracle", "--n-atoms", "3", "--kappa", "1e308",
+          "--g", "1"], "t_max/dt = inf steps"),
     ], ids=["nan-detuning", "inf-t-max", "nan-dt", "nan-gamma", "nan-kappa",
-            "inf-g", "negative-seed", "oracle-n-41"])
+            "inf-g", "negative-seed", "oracle-n-61", "twa-step-count-overflow",
+            "oracle-step-count-overflow"])
     def test_bad_number_fails_before_any_solve(self, tmp_path, monkeypatch,
                                                capsys, argv, message):
         calls = count_solves(monkeypatch)

@@ -118,7 +118,7 @@ class TestBuilders:
 
     def test_dimension_guards(self):
         with pytest.raises(ValueError, match="limited"):
-            build_liouvillian(collective_params(41))
+            build_liouvillian(collective_params(MAX_COLLECTIVE_ATOMS + 1))
         with pytest.raises(ValueError, match="limited"):
             build_liouvillian(individual_params(9))
 
@@ -263,7 +263,7 @@ class TestInvariantEntries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = sum((k + 1) ** 2 for k in range(n + 1))     # 23821 at N = 40
+        rows = sum((k + 1) ** 2 for k in range(n + 1))     # 77531 at N = 60
         assert liouv.generator.shape == (rows, rows)
         assert peak < 64 * 2 ** 20
 
@@ -306,6 +306,47 @@ class TestEvolveErrors:
         series = evolve_density_matrix(liouv, t)
         np.testing.assert_allclose(series.sz_mean, 1.0, atol=1e-10)
         np.testing.assert_allclose(series.photon_mean, 0.0, atol=1e-10)
+
+
+class TestPopulationsOnly:
+    """evolve_density_matrix keeps only the populations of each recorded
+    state; the outputs are the bits of the full-state run it replaced."""
+
+    @pytest.mark.parametrize("params", [
+        collective_params(8, g=10.0, kappa=100.0),
+        individual_params(3, g=10.0, kappa=100.0),
+        collective_params(4, g=3.0, kappa=3.0, detuning=5.0),
+    ], ids=["collective-8", "individual-3", "collective-4-detuned"])
+    def test_matches_the_full_state_run_bit_for_bit(self, params):
+        params, num = validate_params(params, NumericalParams(n_traj=1))
+        series = solve_oracle(params, num)
+        liouv = build_liouvillian(params)
+        y0 = np.zeros(liouv.generator.shape[0], dtype=complex)
+        y0[0] = 1.0
+        t = series.times
+        sol = solve_ivp(lambda _, y: liouv.generator @ y, (t[0], t[-1]), y0,
+                        t_eval=t, method="DOP853", rtol=1e-10, atol=1e-12)
+        populations = sol.y[liouv.diagonal].real
+        basis = liouv.basis
+        sz = (basis.excited_atoms[liouv.states] - 0.5 * basis.n_atoms) @ populations
+        photon = basis.photons[liouv.states] @ populations
+        assert np.array_equal(series.sz_mean, sz)
+        assert np.array_equal(series.photon_mean, photon)
+
+    @pytest.mark.parametrize("params", [
+        collective_params(20, g=10.0, kappa=100.0),
+        individual_params(5, g=10.0, kappa=100.0),
+    ], ids=["collective-20", "individual-5"])
+    def test_run_memory_is_small(self, params):
+        # keeping the whole state at each grid point peaked at 65 and 98 MiB
+        params, num = validate_params(params, NumericalParams(n_traj=1))
+        tracemalloc.start()
+        try:
+            solve_oracle(params, num)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestIndependentPropagator:
