@@ -57,18 +57,13 @@ class ScalingReport:
     divergent: List[int] = field(default_factory=list)
 
 
-def moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with an odd window; near the edges the window
+def moving_average(values: np.ndarray) -> np.ndarray:
+    """Centered EMISSION_WINDOW-point moving average; near the edges the window
     shrinks symmetrically, which keeps linear inputs exactly linear."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
     values = np.asarray(values, dtype=float)
-    if window == 1 or len(values) < 3:
-        return values.copy()
-    half = window // 2
     csum = np.concatenate([[0.0], np.cumsum(values)])
     i = np.arange(len(values))
-    w = np.minimum(half, np.minimum(i, len(values) - 1 - i))
+    w = np.minimum(EMISSION_WINDOW // 2, np.minimum(i, len(values) - 1 - i))
     return (csum[i + w + 1] - csum[i - w]) / (2 * w + 1)
 
 
@@ -79,7 +74,7 @@ def emission_strength(series: ObservableSeries) -> EmissionMeasurement:
     """
     if len(series.times) < 3:
         raise ValueError("series too short for derivative estimation")
-    smoothed = moving_average(series.sz_mean, EMISSION_WINDOW)
+    smoothed = moving_average(series.sz_mean)
     slope = -np.gradient(smoothed, series.times)
     peak = slope.max()
     # earliest grid point among float-equal maxima

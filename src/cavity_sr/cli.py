@@ -27,24 +27,25 @@ from .engine import thread_budget
 from .fileio import (read_points_file, read_report, write_manifest, write_report,
                      write_timeseries)
 from .oracle import check_atom_number
-from .params import (ConfigurationError, NumericalParams, SystemParams, config_echo,
-                     validate_params)
+from .params import (SCHEMES, ConfigurationError, NumericalParams, SystemParams,
+                     config_echo, validate_params)
 from .runners import SOLVERS, resolve_solver, simulate_timeseries
 
 
 def _add_physics_flags(p: argparse.ArgumentParser):
-    p.add_argument("--scheme", required=True, choices=["collective", "individual"])
-    p.add_argument("--g", type=float, default=0.0,
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
+    p.add_argument("--g", type=float, default=SystemParams.g,
                    help="atom-cavity coupling (units of the decay rate)")
-    p.add_argument("--kappa", type=float, default=0.0, help="cavity decay half-rate")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="atomic decay half-rate (the time unit; default 1)")
-    p.add_argument("--detuning", type=float, default=0.0,
+    p.add_argument("--kappa", type=float, default=SystemParams.kappa,
+                   help="cavity decay half-rate")
+    p.add_argument("--gamma", type=float, default=SystemParams.gamma,
+                   help="atomic decay half-rate (the time unit; default %(default)g)")
+    p.add_argument("--detuning", type=float, default=SystemParams.detuning,
                    help="cavity detuning from the atomic frequency (default resonance)")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--trajectories", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t-max", type=float, default=NumericalParams.t_max)
+    p.add_argument("--dt", type=float, default=NumericalParams.dt)
+    p.add_argument("--trajectories", type=int, default=NumericalParams.n_traj)
+    p.add_argument("--seed", type=int, default=NumericalParams.seed)
 
 
 def _raw_config(args, n_atoms: int):

@@ -71,12 +71,11 @@ def _pairwise_sum(v):
     if n < 8:
         res, rest = v[:, 0] + 0.0, range(1, n)
     else:
-        r = v[:, :8] + 0.0
-        for i in range(8, n - n % 8, 8):
-            r += v[:, i:i + 8]
+        m = n - n % 8
+        r = np.add.reduce(v[:, :m].reshape(len(v), m // 8, 8, -1), axis=1, initial=0.0)
         r = r[:, 0::2] + r[:, 1::2]
         r = r[:, 0::2] + r[:, 1::2]
-        res, rest = r[:, 0] + r[:, 1], range(n - n % 8, n)
+        res, rest = r[:, 0] + r[:, 1], range(m, n)
     for i in rest:
         res += v[:, i]
     return res

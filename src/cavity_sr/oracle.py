@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import DOP853, solve_ivp
 
-from .params import NumericalParams, SystemParams
+from .params import NumericalParams, SystemParams, SCHEME_COLLECTIVE
 from .series import ObservableSeries, time_grid
 
 MAX_COLLECTIVE_ATOMS = 60
@@ -53,7 +53,7 @@ class BasisDescriptor:
 
     @property
     def atom_dim(self) -> int:
-        return self.n_atoms + 1 if self.kind == "collective" else 2 ** self.n_atoms
+        return self.n_atoms + 1 if self.kind == SCHEME_COLLECTIVE else 2 ** self.n_atoms
 
     @property
     def cavity_dim(self) -> int:
@@ -72,7 +72,7 @@ class BasisDescriptor:
     def excited_atoms(self) -> np.ndarray:
         """Number of excited atoms in each basis state; atomic index 0 is
         the fully excited state in both bases."""
-        if self.kind == "collective":
+        if self.kind == SCHEME_COLLECTIVE:
             ground = np.arange(self.atom_dim)
         else:                   # per-atom bit 1 is |g>
             ground = np.array([bin(k).count("1") for k in range(self.atom_dim)])
@@ -135,7 +135,7 @@ def _equal_sector_pairs(left: np.ndarray, right: np.ndarray):
 
 def check_atom_number(scheme: str, n_atoms: int) -> None:
     """Raise ValueError if the scheme's oracle cannot hold n_atoms atoms."""
-    limit = MAX_COLLECTIVE_ATOMS if scheme == "collective" else MAX_INDIVIDUAL_ATOMS
+    limit = MAX_COLLECTIVE_ATOMS if scheme == SCHEME_COLLECTIVE else MAX_INDIVIDUAL_ATOMS
     if n_atoms > limit:
         raise ValueError(f"{scheme} oracle limited to N <= {limit}")
 
@@ -146,7 +146,7 @@ def build_liouvillian(params: SystemParams) -> Liouvillian:
     sigma_minus^i at rate 2*gamma each, on the sector blocks of rho."""
     check_atom_number(params.scheme, params.n_atoms)
     basis = BasisDescriptor(params.scheme, params.n_atoms)
-    operators = collective_operators if basis.kind == "collective" else individual_operators
+    operators = collective_operators if basis.kind == SCHEME_COLLECTIVE else individual_operators
     jumps, c = operators(basis)
     s_minus = sum(jumps)
     # H = Delta c^dag c + g (S+ c + S- c^dag), rotating at the atomic frequency

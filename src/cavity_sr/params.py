@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 SCHEME_COLLECTIVE = "collective"
 SCHEME_INDIVIDUAL = "individual"
+SCHEMES = (SCHEME_COLLECTIVE, SCHEME_INDIVIDUAL)
 
 
 class ConfigurationError(ValueError):
@@ -129,7 +130,7 @@ def _is_integer(owner, name, errors: list) -> bool:
 def _check_system(p: SystemParams, errors: list) -> None:
     if _is_integer(p, "n_atoms", errors) and p.n_atoms < 1:
         errors.append("zero atoms: n_atoms must be >= 1")
-    if p.scheme not in (SCHEME_COLLECTIVE, SCHEME_INDIVIDUAL):
+    if p.scheme not in SCHEMES:
         errors.append(f"unknown scheme {p.scheme!r}: must be "
                       f"{SCHEME_COLLECTIVE!r} or {SCHEME_INDIVIDUAL!r}")
     _check_finite(p, ("g", "kappa", "gamma", "detuning"), errors)

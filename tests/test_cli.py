@@ -107,10 +107,12 @@ class TestSimulate:
         assert (tmp_path / "a/timeseries.csv").read_bytes() == \
             (tmp_path / "b/timeseries.csv").read_bytes()
 
-    # SHA-256 of the seed-0 timeseries.csv (numpy 2.4.6). The seed fixes the
-    # bits of the stochastic output, so a new digest means the sampling, the
-    # noise stream or the integrator arithmetic changed. twa-blocks spans 24
-    # chunks: two state blocks, the last chunk partial; its digest predates
+    # SHA-256 of the seed-0 timeseries.csv (numpy 2.4.6 at X86_V3 or X86_V4
+    # dispatch; under baseline dispatch numpy's complex product rounds
+    # differently, and these five pins and the sweep report's fail). The seed
+    # fixes the bits of the stochastic output, so a new digest means the
+    # sampling, the noise stream or the integrator arithmetic changed. twa-blocks
+    # spans 24 chunks: two state blocks, the last chunk partial; its digest predates
     # the block layout, which must not change the bits.  dtwa-lattice puts a
     # full and a partial chunk in one block, and its N = 20 atom sums add the
     # spin columns in numpy's pairwise grouping, eight accumulators and four
