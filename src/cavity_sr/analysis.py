@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +21,12 @@ from .runners import simulate_timeseries
 from .series import ObservableSeries, time_grid
 
 EMISSION_WINDOW = 5     # points of emission_strength's centred moving average
+# the config keys two reports may differ in and still be compared by convergence_check,
+# and the variation it names for each comparable (dt ratio, M ratio), a over b
+FREE_KEYS = ("dt", "n_traj", "t_max", "seed")
+_VARIATIONS = {(1.0, 1.0): "identical",
+               (0.5, 1.0): "dt-halved", (2.0, 1.0): "dt-halved",
+               (1.0, 0.5): "trajectories-doubled", (1.0, 2.0): "trajectories-doubled"}
 
 
 class UnresolvedBurstError(RuntimeError):
@@ -45,13 +51,9 @@ class PowerLawFit:
     zeta_stderr: float
 
 
-@dataclass
-class ScalingReport:
+@dataclass(frozen=True)
+class ScalingReport(PowerLawFit):
     points: List[Tuple[int, float, float]]   # (N, I, I standard error)
-    zeta: float
-    intercept: float
-    r_squared: float
-    zeta_stderr: float
     config: dict                              # sweep configuration echo
     fingerprint: str
     divergent: List[int] = field(default_factory=list)
@@ -91,14 +93,10 @@ def emission_uncertainty(series: ObservableSeries, measurement: EmissionMeasurem
     """Rough standard error of the intensity from the ensemble sem, treating
     the smoothed neighbor points entering the central difference as
     independent after window averaging."""
-    if np.all(series.sz_sem == 0):
-        return 0.0
     idx = int(np.searchsorted(series.times, measurement.t0))
     lo = max(idx - 1, 0)
     hi = min(idx + 1, len(series.times) - 1)
     dt = series.times[hi] - series.times[lo]
-    if dt == 0:
-        return 0.0
     sem = np.hypot(series.sz_sem[lo], series.sz_sem[hi]) / np.sqrt(EMISSION_WINDOW)
     return float(sem / dt)
 
@@ -187,10 +185,8 @@ def scaling_sweep(solver: str, n_list: Sequence[int], params: SystemParams,
     config = {**config_echo(params, num, solver), "n_list": [n for n, _, _ in points],
               "dt": [num_n.dt for _, num_n in configs]}
     del config["n_atoms"]
-    return ScalingReport(points=points, zeta=fit.zeta, intercept=fit.intercept,
-                         r_squared=fit.r_squared, zeta_stderr=fit.zeta_stderr,
-                         config=config, fingerprint=_fingerprint(config),
-                         divergent=divergent)
+    return ScalingReport(**asdict(fit), points=points, config=config,
+                         fingerprint=_fingerprint(config), divergent=divergent)
 
 
 @dataclass(frozen=True)
@@ -204,29 +200,22 @@ class ConvergenceVerdict:
 
 def convergence_check(report_a: ScalingReport, report_b: ScalingReport) -> ConvergenceVerdict:
     """Pass iff the fitted exponents agree within 0.02 for reports that
-    differ only in dt (halved) or trajectory count (doubled)."""
-    ca, cb = dict(report_a.config), dict(report_b.config)
-    dt_a, dt_b = ca.pop("dt"), cb.pop("dt")
-    m_a, m_b = ca.pop("n_traj"), cb.pop("n_traj")
-    ca.pop("t_max"), cb.pop("t_max")
-    ca.pop("seed"), cb.pop("seed")
+    differ only in dt (halved) or trajectory count (doubled), dt compared N
+    by N over dt lists of equal length."""
+    ca, cb = ({k: v for k, v in r.config.items() if k not in FREE_KEYS}
+              for r in (report_a, report_b))
     if ca != cb:
-        diff = {k for k in ca.keys() | cb.keys() if ca.get(k) != cb.get(k)}
+        diff = ca.keys() ^ cb.keys() | {k for k in ca.keys() & cb.keys() if ca[k] != cb[k]}
         raise IncomparableReportsError(f"reports differ in {sorted(diff)}")
 
-    ratios = {round(a / b, 6) for a, b in zip(np.atleast_1d(dt_a), np.atleast_1d(dt_b))}
-    dt_varied = ratios not in ({1.0},) and len(ratios) == 1 and ratios <= {0.5, 2.0}
-    dt_same = ratios == {1.0}
-    m_ratio = m_a / m_b
-    m_varied = m_ratio in (0.5, 2.0)
-    m_same = m_ratio == 1.0
-    if dt_same and m_same:
-        variation = "identical"
-    elif dt_varied and m_same:
-        variation = "dt-halved"
-    elif m_varied and dt_same:
-        variation = "trajectories-doubled"
-    else:
+    dt_a, dt_b = (np.atleast_1d(r.config["dt"]) for r in (report_a, report_b))
+    if len(dt_a) != len(dt_b):
+        raise IncomparableReportsError(
+            f"reports hold dt lists of different lengths, {len(dt_a)} and {len(dt_b)}")
+    ratios = {round(a / b, 6) for a, b in zip(dt_a, dt_b)}
+    m_ratio = report_a.config["n_traj"] / report_b.config["n_traj"]
+    variation = _VARIATIONS.get((*ratios, m_ratio))
+    if variation is None:
         raise IncomparableReportsError(
             f"reports must differ only in dt halved or M doubled "
             f"(dt ratios {sorted(ratios)}, M ratio {m_ratio})")

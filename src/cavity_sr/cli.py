@@ -17,10 +17,11 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .analysis import (ConvergenceVerdict, IncomparableReportsError,
+from .analysis import (FREE_KEYS, ConvergenceVerdict, IncomparableReportsError,
                        UnresolvedBurstError, convergence_check, power_law_fit,
                        scaling_sweep, sweep_configs)
 from .engine import thread_budget
@@ -126,9 +127,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit(args) -> int:
     points = read_points_file(args.input)
     fit = power_law_fit(points)
-    result = {"zeta": fit.zeta, "intercept": fit.intercept,
-              "r_squared": fit.r_squared, "zeta_stderr": fit.zeta_stderr,
-              "points": [{"n": n, "intensity": i} for n, i in points]}
+    result = {**asdict(fit), "points": [{"n": n, "intensity": i} for n, i in points]}
     text = json.dumps(result, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -137,12 +136,12 @@ def _cmd_fit(args) -> int:
 
 
 def _read_checked_report(path):
-    """read_report plus what check compares: config keys dt, n_traj, t_max and
-    seed, a finite zeta and positive finite dt (one per N) and n_traj, none
-    of them a bool; else a ValueError naming the file and the field."""
+    """read_report plus what check compares: every config key of FREE_KEYS, a
+    finite zeta and positive finite dt (one per N) and n_traj, none of them a
+    bool; else a ValueError naming the file and the field."""
     report = read_report(path)
     config = report.config if isinstance(report.config, dict) else {}
-    missing = {"dt", "n_traj", "t_max", "seed"} - config.keys()
+    missing = set(FREE_KEYS) - config.keys()
     if missing:
         raise ValueError(f"report {path} lacks the config key {min(missing)!r}")
     for name, value, low in (("zeta", report.zeta, -math.inf), ("config dt", config["dt"], 0),

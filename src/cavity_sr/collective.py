@@ -38,13 +38,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .engine import EnsembleModel
-from .params import NumericalParams, SystemParams, SCHEME_COLLECTIVE
+from .params import NumericalParams, SystemParams, SCHEME_COLLECTIVE, require_scheme
 from .series import ObservableSeries, time_grid
-
-
-def _require_collective(params: SystemParams):
-    if params.scheme != SCHEME_COLLECTIVE:
-        raise ValueError("collective operations need params of the collective scheme")
 
 
 def collective_twa_model(params: SystemParams) -> EnsembleModel:
@@ -56,7 +51,7 @@ def collective_twa_model(params: SystemParams) -> EnsembleModel:
     quanta, with fixed amplitude sqrt(N) and uniform random phase; b and eta
     are vacuum Wigner samples, complex Gaussian with <|.|^2> = 1/2.
     """
-    _require_collective(params)
+    require_scheme(params, SCHEME_COLLECTIVE)
     g, gam, kap, det = params.g, params.gamma, params.kappa, params.detuning
     amp_h = np.sqrt(kap / 2.0)
 
@@ -97,7 +92,7 @@ def collective_twa_model(params: SystemParams) -> EnsembleModel:
 def solve_meanfield_collective(params: SystemParams, num: NumericalParams) -> ObservableSeries:
     """Integrate the cascade equation from S_z = N/2 on the grid the stochastic
     runner would use (for pointwise comparisons); the cavity stays empty."""
-    _require_collective(params)
+    require_scheme(params, SCHEME_COLLECTIVE)
     _, _, times = time_grid(num.dt, num.t_max)
     gam, j = params.gamma, 0.5 * params.n_atoms
     sol = solve_ivp(lambda t, sz: 2.0 * gam * (sz - j - 1.0) * (sz + j),

@@ -49,13 +49,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .engine import EnsembleModel
-from .params import NumericalParams, SystemParams, SCHEME_INDIVIDUAL
+from .params import NumericalParams, SystemParams, SCHEME_INDIVIDUAL, require_scheme
 from .series import ObservableSeries, time_grid
-
-
-def _require_individual(params: SystemParams):
-    if params.scheme != SCHEME_INDIVIDUAL:
-        raise ValueError("individual operations need params of the individual scheme")
 
 
 def _pairwise_sum(v):
@@ -89,7 +84,7 @@ def individual_dtwa_model(params: SystemParams) -> EnsembleModel:
     fully excited lattice, (s_x, s_y, s_z) in {(+-1, +-1, 1)} with equal
     weight; the cavity starts in the vacuum Wigner distribution
     (<|eta|^2> = 1/2)."""
-    _require_individual(params)
+    require_scheme(params, SCHEME_INDIVIDUAL)
     n = params.n_atoms
     g, gam, kap, det = params.g, params.gamma, params.kappa, params.detuning
     amp = np.sqrt(2.0 * gam)
@@ -159,7 +154,7 @@ def individual_dtwa_model(params: SystemParams) -> EnsembleModel:
 def solve_meanfield_individual(params: SystemParams, num: NumericalParams) -> ObservableSeries:
     """Integrate the per-atom decay equation from sigma_z = 1 on the grid the
     stochastic runner would use; S_z = (N/2) sigma_z and the cavity stays empty."""
-    _require_individual(params)
+    require_scheme(params, SCHEME_INDIVIDUAL)
     _, _, times = time_grid(num.dt, num.t_max)
     gam = params.gamma
     sol = solve_ivp(lambda t, sigma_z: -2.0 * gam * (1.0 + sigma_z),

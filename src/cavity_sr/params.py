@@ -110,11 +110,20 @@ def default_horizon(params: SystemParams) -> float:
     return min(2.5 / gam, max(1.0 / gam, burst))
 
 
-def _check_finite(owner, names, errors: list) -> None:
+def _real_fields(owner, names, errors: list) -> list:
+    """The fields of names that are real numbers, numpy reals included and
+    bools not; appends an error naming each other one, and each real one
+    that is not finite."""
+    reals = []
     for name in names:
         value = getattr(owner, name)
-        if value is not None and not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            errors.append(f"{name} must be a real number, got {value!r}")
+            continue
+        if not math.isfinite(value):
             errors.append(f"non-finite value: {name} = {value}")
+        reals.append(name)
+    return reals
 
 
 def _is_integer(owner, name, errors: list) -> bool:
@@ -133,9 +142,8 @@ def _check_system(p: SystemParams, errors: list) -> None:
     if p.scheme not in SCHEMES:
         errors.append(f"unknown scheme {p.scheme!r}: must be "
                       f"{SCHEME_COLLECTIVE!r} or {SCHEME_INDIVIDUAL!r}")
-    _check_finite(p, ("g", "kappa", "gamma", "detuning"), errors)
-    for name in ("g", "kappa", "gamma"):
-        if getattr(p, name) < 0:
+    for name in _real_fields(p, ("g", "kappa", "gamma", "detuning"), errors):
+        if name != "detuning" and getattr(p, name) < 0:
             errors.append(f"negative rate: {name} = {getattr(p, name)}")
 
 
@@ -144,12 +152,12 @@ def _check_numerics(num: NumericalParams, errors: list) -> None:
         errors.append(f"n_traj must be >= 1, got {num.n_traj}")
     if _is_integer(num, "seed", errors) and num.seed < 0:
         errors.append(f"seed must be a non-negative integer, got {num.seed}")
-    _check_finite(num, ("dt", "t_max"), errors)
-    if num.dt is not None and num.dt <= 0:
-        errors.append(f"dt must be positive, got {num.dt}")
-    if num.t_max is not None and num.t_max <= 0:
-        errors.append(f"t_max must be positive, got {num.t_max}")
-    if (num.dt is not None and num.t_max is not None and num.dt > num.t_max):
+    given = [name for name in ("dt", "t_max") if getattr(num, name) is not None]
+    reals = _real_fields(num, given, errors)
+    for name in reals:
+        if getattr(num, name) <= 0:
+            errors.append(f"{name} must be positive, got {getattr(num, name)}")
+    if len(reals) == 2 and num.dt > num.t_max:
         errors.append(f"dt = {num.dt} exceeds t_max = {num.t_max}")
 
 
@@ -158,9 +166,9 @@ def validate_params(params: SystemParams, num: NumericalParams):
 
     Returns a (SystemParams, NumericalParams) pair with the dt / t_max
     defaults filled in.  Raises ConfigurationError carrying the complete list
-    of violations (including any NaN or infinite rate, detuning, dt or t_max,
-    any count that is not an integer, and a dt / t_max pair whose step count
-    is infinite or exceeds sys.maxsize) otherwise.
+    of violations (including any rate, detuning, dt or t_max that is not a
+    finite real number, any count that is not an integer, and a dt / t_max
+    pair whose step count is infinite or exceeds sys.maxsize) otherwise.
     Idempotent: validating an already validated pair returns it unchanged.
     """
     errors: list = []
@@ -178,6 +186,12 @@ def validate_params(params: SystemParams, num: NumericalParams):
     if num.dt != dt or num.t_max != t_max:
         num = replace(num, dt=dt, t_max=t_max)
     return params, num
+
+
+def require_scheme(params: SystemParams, scheme: str) -> None:
+    """Raise ValueError unless params are of the given scheme."""
+    if params.scheme != scheme:
+        raise ValueError(f"{scheme} operations need params of the {scheme} scheme")
 
 
 def collective_params(n_atoms: int, g: float = 0.0, kappa: float = 0.0,

@@ -10,6 +10,7 @@ from cavity_sr import (IncomparableReportsError, NumericalParams,
                        collective_params, convergence_check, emission_strength,
                        individual_params, moving_average, power_law_fit,
                        scaling_sweep)
+from cavity_sr.analysis import EmissionMeasurement, emission_uncertainty
 from cavity_sr.fileio import write_report
 
 
@@ -46,7 +47,21 @@ class TestMovingAverage:
         np.testing.assert_array_equal(moving_average(values), loop)
 
 
+class TestObservableSeries:
+    def test_columns_of_different_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match=r"column lengths differ: \[2, 3\]"):
+            series_from(np.arange(3.0), [1.0, 0.0])
+
+    def test_negative_standard_error_is_rejected(self):
+        with pytest.raises(ValueError, match="standard errors must be non-negative"):
+            series_from(np.arange(3.0), [1.0, 0.0, -1.0], sem=np.array([0.0, -0.1, 0.0]))
+
+
 class TestEmissionStrength:
+    def test_fewer_than_three_points_raise(self):
+        with pytest.raises(ValueError, match="series too short"):
+            emission_strength(series_from(np.array([0.0, 0.1]), [1.0, 0.0]))
+
     def test_linear_ramp(self):
         t = np.linspace(0, 1, 101)
         m = emission_strength(series_from(t, -t))
@@ -98,6 +113,21 @@ class TestEmissionStrength:
         smooth = emission_strength(series_from(t, sz))
         assert raw.max() > 5.0           # spike dominates the raw derivative
         assert smooth.intensity < 3.0
+
+
+class TestEmissionUncertainty:
+    @pytest.mark.parametrize("t0, lo, hi", [(0.0, 0, 1), (0.2, 1, 3), (0.4, 3, 4)])
+    def test_neighbour_sems_over_their_spacing(self, t0, lo, hi):
+        times = np.linspace(0.0, 0.4, 5)
+        sem = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        series = series_from(times, np.zeros(5), sem=sem)
+        got = emission_uncertainty(series, EmissionMeasurement(1.0, t0))
+        want = np.hypot(sem[lo], sem[hi]) / np.sqrt(5) / (times[hi] - times[lo])
+        assert got == pytest.approx(want, rel=1e-15)
+
+    def test_zero_sems_give_zero(self):
+        series = series_from(np.linspace(0.0, 0.4, 5), np.zeros(5))
+        assert emission_uncertainty(series, EmissionMeasurement(1.0, 0.2)) == 0.0
 
 
 class TestPowerLawFit:
@@ -290,10 +320,21 @@ class TestConvergenceCheck:
         with pytest.raises(IncomparableReportsError, match="smoothing_window"):
             convergence_check(report_with(1.76), report_with(1.76, smoothing_window=5))
 
+    def test_key_one_report_alone_holds_as_null_is_named(self):
+        with pytest.raises(IncomparableReportsError, match=r"differ in \['window'\]"):
+            convergence_check(report_with(1.76, window=None), report_with(1.76))
+
     def test_simultaneous_variation_is_incomparable(self):
         with pytest.raises(IncomparableReportsError):
             convergence_check(report_with(1.76),
                               report_with(1.76, dt=(5e-4,), n_traj=2000))
+
+    @pytest.mark.parametrize("n_dt", [1, 4])
+    def test_dt_lists_of_different_lengths_are_incomparable(self, n_dt):
+        # zip would compare only the shorter list: dt halved at one N of three
+        with pytest.raises(IncomparableReportsError, match=f"lengths, 3 and {n_dt}$"):
+            convergence_check(report_with(1.76, dt=(1e-3,) * 3),
+                              report_with(1.76, dt=(5e-4,) * n_dt))
 
     def test_wrong_dt_ratio_is_incomparable(self):
         with pytest.raises(IncomparableReportsError):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,13 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         assert __version__ in done.stdout
 
+    def test_main_exits_with_the_dispatch_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["cavity-sr", "--version"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("cavity_sr", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+
 
 class TestFit:
     def test_trivial_quadratic_csv(self, tmp_path, capsys):
@@ -276,6 +284,15 @@ class TestFit:
         assert run_cli("fit", "--input", str(points)) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["zeta"] == pytest.approx(2.0)
+
+    def test_fit_out_holds_the_printed_json(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("n,intensity\n10,100\n20,390\n40,1650\n")
+        assert run_cli("fit", "--input", str(points), "--out", str(tmp_path / "fit.json")) == 0
+        printed = capsys.readouterr().out
+        assert (tmp_path / "fit.json").read_text() == printed
+        assert list(json.loads(printed)) == ["zeta", "intercept", "r_squared",
+                                             "zeta_stderr", "points"]
 
     def test_fit_round_trips_report_json(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -355,6 +372,15 @@ class TestSweepAndCheck:
         assert report.zeta == pytest.approx(exact.zeta, abs=0.01)
         manifest = json.loads((out / "manifest.json").read_text())
         assert "report.json" in manifest["outputs"]
+
+    @pytest.mark.parametrize("scheme, solver", [("collective", "twa"),
+                                                ("individual", "dtwa")])
+    def test_sweep_runs_the_scheme_s_phase_space_solver_by_default(self, tmp_path,
+                                                                   scheme, solver):
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--scheme", scheme, "--n-list", "4,6,8",
+                       "--trajectories", "16", "--out", str(out)) == 0
+        assert read_report(out / "report.json").config["solver"] == solver
 
     def test_oracle_sweep_matches_the_python_sweep(self, tmp_path, capsys):
         out = tmp_path / "s"

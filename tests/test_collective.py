@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cavity_sr import collective
 from cavity_sr import (NumericalParams, collective_params,
                        collective_twa_model, individual_params,
                        solve_meanfield_collective, solve_meanfield_individual,
@@ -194,6 +197,21 @@ class TestKernelBits:
 
 
 class TestMeanField:
+    def test_solvers_need_collective_params(self):
+        num = NumericalParams(dt=1e-2, t_max=0.1)
+        message = "^collective operations need params of the collective scheme$"
+        with pytest.raises(ValueError, match=message):
+            collective_twa_model(individual_params(4))
+        with pytest.raises(ValueError, match=message):
+            solve_meanfield_collective(individual_params(4), num)
+
+    def test_failed_integration_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(collective, "solve_ivp", lambda *args, **kwargs:
+                            SimpleNamespace(success=False, message="step size too small"))
+        with pytest.raises(RuntimeError,
+                           match="mean-field integration failed: step size too small"):
+            solve_meanfield_collective(collective_params(4), NumericalParams(dt=1e-2, t_max=0.1))
+
     @pytest.mark.parametrize("n", [1, 10, 40])
     def test_solver_matches_cascade_closed_form(self, n):
         # Riccati solution of dS_z/dt = 2 Gamma (S_z - j - 1)(S_z + j) from

@@ -12,7 +12,7 @@ from cavity_sr import (ConfigurationError, EnsembleDivergenceError,
 from cavity_sr import engine
 from cavity_sr.collective import collective_twa_model
 from cavity_sr.engine import (BATCH_BYTES, BLOCK_BYTES, CHUNK_SIZE, KEYS,
-                              MAX_WORKERS_ENV, _merge, chunk_stream)
+                              MAX_WORKERS_ENV, _merge, chunk_stream, thread_budget)
 from cavity_sr.individual import individual_dtwa_model
 from cavity_sr.series import time_grid
 
@@ -380,6 +380,14 @@ def test_budget_counts_only_the_cpus_the_process_may_run_on(monkeypatch, cpus):
     num = NumericalParams(n_traj=300, seed=2, dt=1e-3, t_max=0.05)
     run_ensemble(collective_twa_model(params), params, num)
     assert drew_ahead(threads) == (len(cpus) > 1)
+
+
+@pytest.mark.parametrize("cpus, budget", [(3, 3), (None, 1)])
+def test_budget_is_the_cpu_count_where_affinity_is_unknown(monkeypatch, cpus, budget):
+    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+    monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    assert thread_budget() == budget
 
 
 def test_every_block_draws_ahead_on_one_producer(monkeypatch):

@@ -1,9 +1,11 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cavity_sr import (NumericalParams, individual_dtwa_model,
+from cavity_sr import individual
+from cavity_sr import (NumericalParams, collective_params, individual_dtwa_model,
                        individual_params, run_ensemble,
                        solve_meanfield_individual, validate_params)
 from cavity_sr.individual import _pairwise_sum
@@ -271,6 +273,21 @@ class TestMemoryOrder:
 
 
 class TestMeanField:
+    def test_solvers_need_individual_params(self):
+        num = NumericalParams(dt=1e-2, t_max=0.1)
+        message = "^individual operations need params of the individual scheme$"
+        with pytest.raises(ValueError, match=message):
+            individual_dtwa_model(collective_params(4))
+        with pytest.raises(ValueError, match=message):
+            solve_meanfield_individual(collective_params(4), num)
+
+    def test_failed_integration_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(individual, "solve_ivp", lambda *args, **kwargs:
+                            SimpleNamespace(success=False, message="step size too small"))
+        with pytest.raises(RuntimeError,
+                           match="mean-field integration failed: step size too small"):
+            solve_meanfield_individual(individual_params(4), NumericalParams(dt=1e-2, t_max=0.1))
+
     def test_solver_free_decay(self):
         # gamma = 0.5 fails if the rate loses its gamma factor
         for gamma in (1.0, 0.5):

@@ -1,10 +1,14 @@
+import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
+from cavity_sr import oracle
 from cavity_sr import (NumericalParams, build_liouvillian, collective_params,
                        evolve_density_matrix, individual_params, solve_oracle,
                        validate_params)
@@ -163,6 +167,22 @@ class TestClosedForms:
         t = np.linspace(0, 2, 41)
         series = evolve_density_matrix(liouv, t)
         np.testing.assert_allclose(series.sz_norm, 2 * np.exp(-2 * t) - 1, atol=1e-6)
+
+
+class TestFailures:
+    def test_failed_integration_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "solve_ivp", lambda *args, **kwargs:
+                            SimpleNamespace(success=False, message="step size too small"))
+        with pytest.raises(RuntimeError,
+                           match="master-equation integration failed: step size too small"):
+            evolve_density_matrix(build_liouvillian(collective_params(2)), np.linspace(0, 1, 5))
+
+    def test_a_generator_that_leaks_probability_fails_the_trace_check(self):
+        liouv = build_liouvillian(collective_params(2, g=1.0, kappa=1.0))
+        leak = sparse.csr_array(1e-6 * sparse.identity(liouv.generator.shape[0]))
+        leaky = dataclasses.replace(liouv, generator=liouv.generator - leak)
+        with pytest.raises(RuntimeError, match="trace drift 1.0.e-06 exceeds 1e-10"):
+            evolve_density_matrix(leaky, np.linspace(0, 1, 5))
 
 
 class TestInvariants:

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cavity_sr import (ConfigurationError, NumericalParams, SystemParams,
                        collective_params, default_horizon, default_time_step,
@@ -75,6 +76,8 @@ def test_non_finite_rate_is_rejected_naming_the_field(field, value, make, n, rat
 @pytest.mark.parametrize("field, value, message", [
     ("dt", math.nan, "dt = nan"),
     ("dt", math.inf, "dt = inf"),
+    ("dt", 0.0, "dt must be positive, got 0.0"),
+    ("t_max", -1.0, "t_max must be positive, got -1.0"),
     ("t_max", math.nan, "t_max = nan"),
     ("t_max", math.inf, "t_max = inf"),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
@@ -86,6 +89,19 @@ def test_non_finite_rate_is_rejected_naming_the_field(field, value, make, n, rat
 def test_bad_numerics_are_rejected_naming_the_field(field, value, message):
     with pytest.raises(ConfigurationError, match=message):
         validate_params(collective_params(4), NumericalParams(**{field: value}))
+
+
+@given(field=st.sampled_from(["g", "kappa", "gamma", "detuning", "dt", "t_max"]),
+       value=st.sampled_from([True, False, "1", None, 1j, b"0.1", [1.0]]),
+       make=st.sampled_from([collective_params, individual_params]))
+def test_a_field_that_is_not_a_real_number_is_rejected_naming_it(field, value, make):
+    numerical = field in ("dt", "t_max")
+    assume(not (numerical and value is None))      # None asks for the default
+    params = make(4) if numerical else make(4, **{field: value})
+    num = NumericalParams(**{field: value}) if numerical else NumericalParams()
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{field} must be a real number, got {value!r}")):
+        validate_params(params, num)
 
 
 def test_validation_idempotent():
@@ -134,6 +150,16 @@ def test_individual_time_step_tracks_cavity_rate():
 def test_horizon_covers_decay():
     assert default_horizon(individual_params(100, g=0.0, kappa=20.0)) >= 1.0
     assert default_horizon(collective_params(100)) > 0.05
+
+
+def test_horizon_without_atomic_decay():
+    # no decay to scale the collective burst, and no rate at all for the
+    # individual scheme: one time unit
+    assert default_horizon(collective_params(10, g=2.0, kappa=20.0, gamma=0.0)) == 1.0
+    assert default_horizon(individual_params(10, gamma=0.0)) == 1.0
+    # the cavity-mediated rate 2 N g^2 / kappa = 4 alone sets the burst
+    burst = (4.0 * math.log(20) + 12.0) / 4.0
+    assert default_horizon(individual_params(10, g=2.0, kappa=20.0, gamma=0.0)) == burst
 
 
 def test_scheme_and_gamma_accessors():
