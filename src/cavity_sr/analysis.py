@@ -8,8 +8,6 @@ numbers fits log I against log N, whose slope is the scaling exponent zeta
 
 from __future__ import annotations
 
-import hashlib
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Sequence, Tuple
@@ -55,7 +53,6 @@ class PowerLawFit:
 class ScalingReport(PowerLawFit):
     points: List[Tuple[int, float, float]]   # (N, I, I standard error)
     config: dict                              # sweep configuration echo
-    fingerprint: str
     divergent: List[int] = field(default_factory=list)
 
 
@@ -132,11 +129,6 @@ def power_law_fit(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
     return PowerLawFit(float(slope), float(intercept), float(r2), stderr)
 
 
-def _fingerprint(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode()).hexdigest()[:16]
-
-
 def sweep_configs(n_list: Sequence[int], params: SystemParams,
                   num: NumericalParams) -> List[Tuple[SystemParams, NumericalParams]]:
     """The validated (params, num) of each N of n_list, dt and t_max resolved
@@ -167,8 +159,8 @@ def scaling_sweep(solver: str, n_list: Sequence[int], params: SystemParams,
     scheme params.scheme, extract I, and fit the exponent.
 
     dt and t_max follow the N-adapted defaults unless given explicitly; any
-    unresolved burst aborts the fit.  The report records per-N divergent
-    trajectory counts and a configuration fingerprint.  Every N is checked
+    unresolved burst aborts the fit.  The report records the sweep
+    configuration and per-N divergent trajectory counts.  Every N is checked
     (sweep_configs) before the first solve.
     """
     configs = sweep_configs(n_list, params, num)
@@ -185,8 +177,7 @@ def scaling_sweep(solver: str, n_list: Sequence[int], params: SystemParams,
     config = {**config_echo(params, num, solver), "n_list": [n for n, _, _ in points],
               "dt": [num_n.dt for _, num_n in configs]}
     del config["n_atoms"]
-    return ScalingReport(**asdict(fit), points=points, config=config,
-                         fingerprint=_fingerprint(config), divergent=divergent)
+    return ScalingReport(**asdict(fit), points=points, config=config, divergent=divergent)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ def _raw_config(args, n_atoms: int):
     return params, num
 
 
-def _run(args, params, num, n_list, solve):
+def _run(args, params, n_list, solve):
     """Check CAVITY_SR_MAX_WORKERS, resolve the solver, check that an oracle
     can hold every atom number of n_list and create --out, then time
     solve(solver), which returns (result, config, divergent count).  Returns
@@ -73,8 +73,6 @@ def _run(args, params, num, n_list, solve):
     result, config, n_divergent = solve(solver)
     return result, out, {
         "config": config,
-        "master_seed": num.seed,
-        "solver": f"cavity-sr {__version__} {params.scheme}/{solver}",
         "version": __version__,
         "n_divergent": n_divergent,
         "wall_clock_s": time.perf_counter() - start,
@@ -87,7 +85,7 @@ def _cmd_simulate(args) -> int:
     def solve(solver):
         series = simulate_timeseries(solver, params, num)
         return series, config_echo(params, num, solver), series.n_divergent
-    series, out, manifest = _run(args, params, num, [params.n_atoms], solve)
+    series, out, manifest = _run(args, params, [params.n_atoms], solve)
     csv = write_timeseries(series, out / "timeseries.csv")
     write_manifest(manifest, out, [csv])
     print(f"wrote {csv} ({len(series.times)} points, "
@@ -116,8 +114,8 @@ def _cmd_sweep(args) -> int:
     def solve(solver):
         report = scaling_sweep(solver, n_list, params, num)
         return report, report.config, int(sum(report.divergent))
-    report, out, manifest = _run(args, params, num, n_list, solve)
-    report_path = write_report(report, manifest, out / "report.json")
+    report, out, manifest = _run(args, params, n_list, solve)
+    report_path = write_report(report, out / "report.json")
     write_manifest(manifest, out, [report_path])
     print(f"zeta = {report.zeta:.4f} +- {report.zeta_stderr:.4f} "
           f"(r^2 = {report.r_squared:.5f}) -> {report_path}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import List
 
@@ -31,28 +32,30 @@ def write_timeseries(series: ObservableSeries, path) -> Path:
     return path
 
 
-def write_report(report: ScalingReport, manifest: dict, path) -> Path:
-    """The report's fields, then the manifest.json record of the run."""
+def write_report(report: ScalingReport, path) -> Path:
+    """The report's fields, each point as an object {n, intensity, sem}."""
     path = Path(path)
-    path.write_text(json.dumps({
-        "points": [{"n": n, "intensity": i, "sem": s} for n, i, s in report.points],
-        "zeta": report.zeta,
-        "intercept": report.intercept,
-        "r_squared": report.r_squared,
-        "zeta_stderr": report.zeta_stderr,
-        "fingerprint": report.fingerprint,
-        "divergent": list(report.divergent),
-        "config": report.config,
-        "manifest": manifest,
-    }, indent=2) + "\n")
+    points = [{"n": n, "intensity": i, "sem": s} for n, i, s in report.points]
+    path.write_text(json.dumps({**asdict(report), "points": points}, indent=2) + "\n")
     return path
 
 
+def _read_text(path) -> str:
+    """The text of an input file, or a ValueError naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's own text repeats the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"cannot read {path}: {reason}") from None
+
+
 def read_report(path) -> ScalingReport:
-    """Load a report JSON; invalid JSON, a missing required key or a
+    """Load a report JSON, ignoring keys that are not ScalingReport fields; a
+    file that cannot be read, invalid JSON, a missing required key or a
     malformed point raises ValueError naming the file (and the point)."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"report {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -62,7 +65,7 @@ def read_report(path) -> ScalingReport:
             points=[(p["n"], p["intensity"], p.get("sem", 0.0)) for p in raw["points"]],
             zeta=raw["zeta"], intercept=raw["intercept"], r_squared=raw["r_squared"],
             zeta_stderr=raw.get("zeta_stderr", 0.0), config=raw.get("config", {}),
-            fingerprint=raw.get("fingerprint", ""), divergent=raw.get("divergent", []))
+            divergent=raw.get("divergent", []))
     except KeyError as exc:
         raise ValueError(f"report {path} lacks the required key {exc.args[0]!r}") from None
     except TypeError:
@@ -79,7 +82,7 @@ def read_report(path) -> ScalingReport:
 def read_points_file(path) -> List[tuple]:
     """Fit input: either a report JSON or a CSV with header n,intensity[,sem]."""
     path = Path(path)
-    text = path.read_text().strip()
+    text = _read_text(path).strip()
     if text.startswith("{"):
         return [(n, i) for n, i, _ in read_report(path).points]
     lines = text.splitlines() or [""]

@@ -73,16 +73,23 @@ def default_time_step(params: SystemParams) -> float:
     """N-adapted Euler-Maruyama step.
 
     The superradiant burst narrows with N, so dt must shrink accordingly.
-    Collective scheme: the burst rate scale is Gamma*N, and the cavity decay
-    caps the step at 0.5/kappa, giving dt = min(1e-3, 0.05/(Gamma*N),
-    0.5/kappa).  Individual scheme: the fast rates are the cavity decay, the
-    independent decay and the cavity-mediated collective rate (at g = 0
-    there is no N-dependent burst at all), giving dt = min(1e-3, 0.05/rate).
+    The Euler cavity update eta <- (1 - (kappa + i*detuning)*dt)*eta is
+    stable only for dt < 2*kappa/(kappa^2 + detuning^2), so for kappa > 0
+    both schemes cap the step at a quarter of that, 0.5/kappa_eff with
+    kappa_eff = kappa + detuning^2/kappa (0.5/kappa on resonance).
+    Collective scheme: the burst rate scale is Gamma*N, giving
+    dt = min(1e-3, 0.05/(Gamma*N), 0.5/kappa_eff).  Individual scheme: the
+    fast rates are the cavity decay, the independent decay and the
+    cavity-mediated collective rate (at g = 0 there is no N-dependent burst
+    at all), giving dt = min(1e-3, 0.05/rate, 0.5/kappa_eff).
     """
+    kappa = params.kappa
+    # detuning * (detuning / kappa): a huge detuning gives inf, where ** would raise
+    kappa_eff = kappa + params.detuning * (params.detuning / kappa) if kappa > 0 else 0.0
     if params.scheme == SCHEME_COLLECTIVE:
-        rate = max(params.gamma * params.n_atoms, params.kappa / 10)
+        rate = max(params.gamma * params.n_atoms, kappa_eff / 10)
     else:
-        rate = max(2.0 * params.gamma, params.kappa, _cavity_collective_rate(params))
+        rate = max(2.0 * params.gamma, kappa, _cavity_collective_rate(params), kappa_eff / 10)
     return min(1e-3, 0.05 / rate) if rate > 0 else 1e-3
 
 
@@ -179,7 +186,8 @@ def validate_params(params: SystemParams, num: NumericalParams):
     dt = num.dt if num.dt is not None else default_time_step(params)
     t_max = num.t_max if num.t_max is not None else default_horizon(params)
     t_max = max(t_max, dt)
-    steps = t_max / dt
+    # a detuning far beyond kappa can round the default step down to 0
+    steps = t_max / dt if dt > 0 else math.inf
     if not math.isfinite(steps) or round(steps) > sys.maxsize:
         raise ConfigurationError([f"dt = {dt} and t_max = {t_max} give t_max/dt = "
                                   f"{steps:g} steps, more than {sys.maxsize}"])

@@ -200,7 +200,6 @@ class TestScalingSweep:
             assert intensity == pytest.approx((n + 1) ** 2 / 2, rel=0.02)
         assert report.r_squared > 0.999
         assert report.divergent == [0, 0, 0]
-        assert len(report.fingerprint) == 16
 
     def test_needs_three_atom_numbers(self):
         with pytest.raises(ValueError, match="3"):
@@ -208,29 +207,36 @@ class TestScalingSweep:
                           collective_params(50), NumericalParams())
 
     # convergence_check compares these configs, so a change here changes
-    # which reports it accepts as comparable
-    @pytest.mark.parametrize("params, num, fingerprint", [
-        (collective_params(5, g=1.0, kappa=2.0), NumericalParams(), "3b3f2bc8db92bb6c"),
+    # which reports it accepts as comparable; compared as the JSON the report
+    # holds, so an int that turns float shows too
+    @pytest.mark.parametrize("params, num, config", [
+        (collective_params(5, g=1.0, kappa=2.0), NumericalParams(),
+         {"scheme": "collective", "g": 1.0, "kappa": 2.0, "gamma": 1.0, "detuning": 0.0,
+          "n_traj": 2000, "seed": 0, "dt": [0.001, 0.001, 0.001], "t_max": None,
+          "solver": "meanfield", "n_list": [5, 10, 20]}),
         (individual_params(5, g=1.0, kappa=2.0, detuning=0.5),
-         NumericalParams(n_traj=7, seed=3), "6be33c64e16b9254"),
+         NumericalParams(n_traj=7, seed=3),
+         {"scheme": "individual", "g": 1.0, "kappa": 2.0, "gamma": 1.0, "detuning": 0.5,
+          "n_traj": 7, "seed": 3, "dt": [0.001, 0.001, 0.001], "t_max": None,
+          "solver": "meanfield", "n_list": [5, 10, 20]}),
     ], ids=["collective", "individual"])
-    def test_fingerprint_is_pinned(self, params, num, fingerprint):
+    def test_config_is_pinned(self, params, num, config):
         report = scaling_sweep("meanfield", [5, 10, 20], params, num)
-        assert report.fingerprint == fingerprint
+        assert json.dumps(report.config, sort_keys=True) == json.dumps(config, sort_keys=True)
 
     def test_numpy_counts_give_the_fingerprint_of_python_ints(self):
+        # the config is the sweep's fingerprint: what check compares
         params = collective_params(5, g=1.0, kappa=2.0)
         plain = scaling_sweep("meanfield", [5, 10, 20], params, NumericalParams(n_traj=10))
         numpy = scaling_sweep("meanfield", [5, 10, 20], params,
                               NumericalParams(n_traj=np.int64(10)))
-        assert numpy.fingerprint == plain.fingerprint
-        assert numpy.config == plain.config
+        assert json.dumps(numpy.config) == json.dumps(plain.config)
 
     def test_numpy_scalars_write_a_json_report(self, tmp_path):
         params = collective_params(np.int64(5), g=np.float32(1.5), kappa=2.0)
         report = scaling_sweep("meanfield", [5, 10, 20], params,
                                NumericalParams(n_traj=np.int64(10), seed=np.int32(3)))
-        path = write_report(report, {}, tmp_path / "report.json")
+        path = write_report(report, tmp_path / "report.json")
         config = json.loads(path.read_text())["config"]
         assert config["n_traj"] == 10 and config["seed"] == 3 and config["g"] == 1.5
 
@@ -291,7 +297,7 @@ def report_with(zeta, dt=(1e-3,), n_traj=1000, **config_overrides):
     config.update(config_overrides)
     return ScalingReport(points=[(50, 1.0, 0.0), (100, 2.0, 0.0), (200, 4.0, 0.0)],
                          zeta=zeta, intercept=0.0, r_squared=1.0,
-                         zeta_stderr=0.0, config=config, fingerprint="x")
+                         zeta_stderr=0.0, config=config)
 
 
 class TestConvergenceCheck:

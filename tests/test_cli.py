@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavity_sr import NumericalParams, __version__, individual_params, scaling_sweep
+from cavity_sr import (NumericalParams, ScalingReport, __version__, individual_params,
+                       scaling_sweep)
 from cavity_sr.cli import cli_dispatch
 from cavity_sr.fileio import read_report, write_timeseries
 from cavity_sr.series import ObservableSeries
@@ -25,6 +27,12 @@ STRING_ZETA = '{%s, "zeta": "2", %s}' % (POINTS, CONFIG % 300)
 BOOL_TRAJECTORIES = '{%s, "zeta": 2, %s}' % (POINTS, CONFIG % "true")
 STRING_ATOM_NUMBER = NO_CONFIG.replace('"n": 10', '"n": "abc"')
 BOOL_INTENSITY = NO_CONFIG.replace('"intensity": 400', '"intensity": true')
+# a report in the older format, which also held a fingerprint of its config
+# and a copy of manifest.json: the collective mean-field sweep over
+# N = 25, 50, 100 at the default settings
+LEGACY_REPORT = Path(__file__).parent / "data" / "legacy_report.json"
+MEANFIELD_SWEEP = ("sweep", "--scheme", "collective", "--solver", "meanfield",
+                   "--n-list", "25,50,100")
 
 
 def run_cli(*argv):
@@ -96,6 +104,8 @@ class TestSimulate:
         assert set(manifest["config"]) == {
             "scheme", "solver", "n_atoms", "g", "kappa", "gamma", "detuning",
             "dt", "t_max", "n_traj", "seed"}
+        assert list(manifest) == ["config", "version", "n_divergent", "wall_clock_s",
+                                  "outputs"]
         sz_norm = read_columns(csv)[3]
         assert sz_norm[0] == pytest.approx(1.0)
 
@@ -162,6 +172,21 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["n_divergent"] == 0
         assert manifest["config"]["dt"] == pytest.approx(0.5 / 3000)
+
+    @pytest.mark.parametrize("scheme, solver, n_atoms", [("collective", "twa", "10"),
+                                                         ("individual", "dtwa", "5")])
+    def test_default_step_resolves_a_detuned_cavity(self, tmp_path, scheme, solver, n_atoms):
+        # the Euler cavity update is stable only for dt < 2 kappa / (kappa^2 +
+        # detuning^2) = 2.2e-5 here; at the resonant default step (1e-3 and
+        # 5e-4) every trajectory diverges.  The default is a quarter of it
+        code = run_cli("simulate", "--scheme", scheme, "--solver", solver,
+                       "--n-atoms", n_atoms, "--g", "1", "--kappa", "100",
+                       "--detuning", "3000", "--trajectories", "256", "--t-max", "0.02",
+                       "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["n_divergent"] == 0
+        assert manifest["config"]["dt"] == pytest.approx(0.5 * 100 / (100 ** 2 + 3000 ** 2))
 
 
 class TestValidationAndExitCodes:
@@ -358,6 +383,27 @@ class TestFit:
         err = capsys.readouterr().err
         assert str(bad) in err and fragment in err
 
+    @pytest.mark.parametrize("command", ["fit", "check"])
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b'{"zeta": "\xff"}'),
+         "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_input_exits_1_naming_the_file(self, tmp_path, capsys, command,
+                                                      make, reason):
+        bad = tmp_path / "in.json"
+        make(bad)
+        argv = ["fit", "--input", str(bad)] if command == "fit" \
+            else ["check", str(LEGACY_REPORT), str(bad)]
+        assert run_cli(*argv) == 1
+        assert f"error: cannot read {bad}: {reason}" in capsys.readouterr().err
+
+    def test_unusable_fit_out_is_a_runtime_failure(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fit.json"
+        assert run_cli("fit", "--input", str(LEGACY_REPORT), "--out", str(out)) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
 
 class TestSweepAndCheck:
     def test_meanfield_sweep_reports_quadratic_scaling(self, tmp_path, capsys):
@@ -407,17 +453,39 @@ class TestSweepAndCheck:
         ]
         assert report.zeta.hex() == "0x1.cb0ea25e2ae2ap+0"
 
-    def test_report_embeds_the_run_record_without_outputs(self, tmp_path, capsys):
-        # the run record is embedded before report.json exists; only
-        # manifest.json lists the digests of the files the run wrote
+    def test_each_fact_of_a_run_has_one_home(self, tmp_path, capsys):
+        # report.json holds the report's fields; manifest.json the config, the
+        # version, the divergent count, the wall time and the output digests
         out = tmp_path / "s"
-        assert run_cli("sweep", "--scheme", "collective", "--solver",
-                       "meanfield", "--n-list", "25,50,100", "--out", str(out)) == 0
-        embedded = json.loads((out / "report.json").read_text())["manifest"]
-        assert "outputs" not in embedded
+        assert run_cli(*MEANFIELD_SWEEP, "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
         manifest = json.loads((out / "manifest.json").read_text())
+        assert list(report) == [f.name for f in dataclasses.fields(ScalingReport)]
+        assert list(manifest) == ["config", "version", "n_divergent", "wall_clock_s",
+                                  "outputs"]
+        assert manifest["config"] == report["config"]
         assert list(manifest["outputs"]) == ["report.json"]
-        assert {k: v for k, v in manifest.items() if k != "outputs"} == embedded
+
+    def test_legacy_report_fits_like_a_new_report(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run_cli(*MEANFIELD_SWEEP, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("fit", "--input", str(LEGACY_REPORT)) == 0
+        legacy = capsys.readouterr().out
+        assert run_cli("fit", "--input", str(out / "report.json")) == 0
+        assert capsys.readouterr().out == legacy
+
+    def test_legacy_report_checks_like_a_new_report(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(*MEANFIELD_SWEEP, "--out", str(a)) == 0
+        assert run_cli(*MEANFIELD_SWEEP, "--trajectories", "4000", "--out", str(b)) == 0
+        capsys.readouterr()
+        verdicts = []
+        for report in (LEGACY_REPORT, a / "report.json"):
+            code = run_cli("check", str(report), str(b / "report.json"))
+            verdicts.append((code, capsys.readouterr().out))
+        assert verdicts[0] == verdicts[1]
+        assert json.loads(verdicts[0][1])["variation"] == "trajectories-doubled"
 
     def test_manifest_lists_only_files_the_run_wrote(self, tmp_path, capsys):
         out = tmp_path / "s"

@@ -135,6 +135,27 @@ def test_collective_time_step_at_kappa_100_is_pinned(n, dt):
     assert default_time_step(collective_params(n, g=10.0, kappa=100.0)) == dt
 
 
+@pytest.mark.parametrize("make, resonant", [(collective_params, 0.05 / (3000 / 10)),
+                                             (individual_params, 0.05 / 3000)],
+                         ids=["collective", "individual"])
+def test_detuning_caps_the_step_only_off_resonance(make, resonant):
+    # the Euler cavity update is stable only for dt < 2 kappa / (kappa^2 +
+    # detuning^2); for kappa > 0 the step is capped at a quarter of that,
+    # which leaves the resonant step's bits alone and the kappa = 0 rule too
+    assert default_time_step(make(10, g=1.0, kappa=3000.0)) == resonant
+    for detuning in (3000.0, -3000.0):
+        assert default_time_step(make(10, g=1.0, kappa=100.0, detuning=detuning)) == \
+            pytest.approx(0.5 * 100 / (100 ** 2 + 3000 ** 2))
+    assert default_time_step(make(10, detuning=3000.0)) == 1e-3
+
+
+def test_a_default_step_rounded_to_zero_is_rejected():
+    params = collective_params(3, kappa=1.0, detuning=1e200)
+    assert default_time_step(params) == 0.0
+    with pytest.raises(ConfigurationError, match="t_max/dt = inf steps"):
+        validate_params(params, NumericalParams())
+
+
 def test_individual_time_step_tracks_cavity_rate():
     # at g = 0 there is no N-dependent burst; dt is set by kappa
     no_coupling = default_time_step(individual_params(400, g=0.0, kappa=20.0))
