@@ -43,13 +43,14 @@ from .series import ObservableSeries, time_grid
 
 
 def collective_twa_model(params: SystemParams) -> EnsembleModel:
-    """Vectorized TWA model over a (n_traj, 6) real state block.
+    """Vectorized TWA model over a column-major (n_traj, 3) complex128 state
+    block.
 
-    Adjacent float pairs are the real/imaginary parts of (alpha, beta, eta);
-    the callables view the state and output blocks as (n_traj, 3) complex.
-    The initial block is the state |e_1..e_N; 0>: mode a carries the N
-    quanta, with fixed amplitude sqrt(N) and uniform random phase; b and eta
-    are vacuum Wigner samples, complex Gaussian with <|.|^2> = 1/2.
+    The columns are alpha, beta and eta, each one contiguous run of
+    trajectories; state_dim counts a row's 6 float64 words.  The initial
+    block is the state |e_1..e_N; 0>: mode a carries the N quanta, with fixed
+    amplitude sqrt(N) and uniform random phase; b and eta are vacuum Wigner
+    samples, complex Gaussian with <|.|^2> = 1/2.
     """
     require_scheme(params, SCHEME_COLLECTIVE)
     g, gam, kap, det = params.g, params.gamma, params.kappa, params.detuning
@@ -57,31 +58,31 @@ def collective_twa_model(params: SystemParams) -> EnsembleModel:
 
     def sample_initial(n, rng):
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        z = np.empty((n, 3), dtype=complex)
+        z = np.empty((n, 3), dtype=complex, order="F")
         z[:, 0] = np.sqrt(float(params.n_atoms)) * np.exp(1j * phases)
         vac = rng.standard_normal((n, 4))
         z[:, 1] = 0.5 * (vac[:, 0] + 1j * vac[:, 1])
         z[:, 2] = 0.5 * (vac[:, 2] + 1j * vac[:, 3])
-        return z.view(float)
+        return z
 
     def drift(y, out):
-        (alpha, beta, eta), o = y.view(complex).T, out.view(complex)
-        o[:, 0] = -1j * g * beta * eta - gam * (np.abs(beta) ** 2 + 0.5) * alpha
-        o[:, 1] = -1j * g * alpha * np.conj(eta) + gam * (np.abs(alpha) ** 2 - 0.5) * beta
-        o[:, 2] = -1j * det * eta - 1j * g * alpha * np.conj(beta) - kap * eta
+        alpha, beta, eta = y.T
+        out[:, 0] = -1j * g * beta * eta - gam * (np.abs(beta) ** 2 + 0.5) * alpha
+        out[:, 1] = -1j * g * alpha * np.conj(eta) + gam * (np.abs(alpha) ** 2 - 0.5) * beta
+        out[:, 2] = -1j * det * eta - 1j * g * alpha * np.conj(beta) - kap * eta
 
     def noise(y, dW, out):
-        """dW's column pairs are the complex increments dW1 + i dW2,
-        dW3 + i dW4 and dW5 + i dW6."""
-        (alpha, beta, _), o, w = y.view(complex).T, out.view(complex), dW.view(complex)
-        o[:, 0] = np.sqrt(gam * (np.abs(beta) ** 2 + 0.5) / 2.0) * w[:, 0]
-        o[:, 1] = np.sqrt(np.maximum(gam * (np.abs(alpha) ** 2 - 0.5), 0.0) / 2.0) * w[:, 1]
-        o[:, 2] = amp_h * w[:, 2]
+        """dW is a row-major float block whose column pairs are the complex
+        increments dW1 + i dW2, dW3 + i dW4 and dW5 + i dW6."""
+        (alpha, beta, _), w = y.T, dW.view(complex)
+        out[:, 0] = np.sqrt(gam * (np.abs(beta) ** 2 + 0.5) / 2.0) * w[:, 0]
+        out[:, 1] = np.sqrt(np.maximum(gam * (np.abs(alpha) ** 2 - 0.5), 0.0) / 2.0) * w[:, 1]
+        out[:, 2] = amp_h * w[:, 2]
 
     def observables(y):
-        z = y.view(complex)
-        sz = 0.5 * (np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2)
-        photon = np.abs(z[:, 2]) ** 2 - 0.5
+        alpha, beta, eta = y.T
+        sz = 0.5 * (np.abs(alpha) ** 2 - np.abs(beta) ** 2)
+        photon = np.abs(eta) ** 2 - 0.5
         return {"sz": sz, "photon": photon}
 
     return EnsembleModel(state_dim=6, noise_dim=6,

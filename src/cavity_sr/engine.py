@@ -27,21 +27,23 @@ its own stream, with those trajectories left out of the reduction.
 
 Each block allocates its state, drift, noise and Wiener buffers once and
 updates them in place; the model callables write into the buffers they are
-given.  The state, drift and noise buffers keep the memory order of the
-model's sample_initial blocks (row-major for the collective TWA,
-column-major for the DTWA); the Wiener buffer is row-major, one row per
-trajectory.
+given.  The state, drift and noise buffers keep the memory order and dtype
+of the model's sample_initial blocks (column-major complex128 for the
+collective TWA, column-major float64 for the DTWA); the Wiener buffer is
+row-major float64, one row per trajectory.
 
 The thread budget, the number of CPUs the process may run on or
 CAVITY_SR_MAX_WORKERS when set, caps every engine thread.  Each block draws
 its Wiener increments, scaled by sqrt(dt), into two alternating (steps, rows,
 noise_dim) batches of at most BATCH_BYTES (one step, if a step is larger),
 several steps of each chunk's stream per call.  With a budget of two or
-more, a run starts one producer thread, which fills each block's next batch
-while the calling thread integrates the current one; with a budget of one
-the calling thread fills each batch as it reaches it.  Either way each
-chunk's stream is consumed in the same order, so the output bits do not
-depend on who draws or on the budget.
+more, a run starts one producer thread, which fills chunks of each block's
+next batch while the calling thread integrates the current one; before the
+calling thread steps into a batch it fills the chunks the producer has not
+taken.  With a budget of one the calling thread fills each batch as it
+reaches it.  Either way each chunk's slice of a batch is drawn once, from
+its own stream, in step order, so the output bits do not depend on who
+draws or on the budget.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby
 from typing import Callable, Dict
 
@@ -84,14 +85,16 @@ class EnsembleDivergenceError(RuntimeError):
 class EnsembleModel:
     """Vectorized trajectory model consumed by run_ensemble.
 
-    All callables operate on a (n_traj, state_dim) float64 state block y:
+    All callables operate on a state block y of n_traj rows, float64 or
+    complex128, whose rows hold state_dim float64 words each:
 
     sample_initial(n, rng) -> new state block, contiguous in the memory
     order the model's kernels prefer; the block run_ensemble steps, and its
-    drift and noise buffers, have that order;
+    drift and noise buffers, have that order and dtype;
     drift(y, out) writes the time derivative into out (shaped like y);
     noise(y, dW, out) writes the stochastic increment into out, for a
-    row-major dW of shape (n_traj, noise_dim) already scaled to variance dt;
+    row-major float64 dW of shape (n_traj, noise_dim) already scaled to
+    variance dt;
     dW is a view into a batch of increments drawn ahead of the step: it is
     read-only, and valid for that call only;
     observables(y) -> {"sz": (n_traj,), "photon": (n_traj,)}.
@@ -148,50 +151,63 @@ def _moments(x: np.ndarray, shapes):
     return np.concatenate(means, axis=-1), np.concatenate(m2s, axis=-1)
 
 
-def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, scratch: np.ndarray):
-    """Fill a (steps, rows, noise_dim) batch with the block's next steps of
-    Wiener increments, scaled by sqrt_dt.
+def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, scratch, chunks):
+    """Fill each chunk this thread takes from the shared hand-out chunks
+    with the block's next steps of Wiener increments, scaled by sqrt_dt, in
+    a (steps, rows, noise_dim) batch.
 
     Chunk j owns rows bounds[j]:bounds[j + 1] and draws all the batch's steps
     from rngs[j] in one call, in C order, the order in which one draw per
-    step would consume the stream, into the flat scratch buffer; it is scaled
-    on its way into the batch.  One call per chunk per batch keeps the
-    producer's calls few, and the cost of a producer thread grows with its
-    call count: over 10 paired twa-sweep benchmark runs on 2 shared vCPUs,
-    one-step fills in place inside each batch cut trajectory-steps per second
-    by 15% (6.37M -> 5.42M/s), and a two-slot ring of one-step buffers by 16%
-    (6.19M -> 5.18M/s).
+    step would consume the stream, then scales them: in place where its rows
+    are the whole batch, else on their way from the flat scratch buffer into
+    the batch, so the bits do not depend on which way it took.  One call per
+    chunk per batch keeps the calls few, and the cost of a producer thread
+    grows with its call count: over 10 paired twa-sweep benchmark runs on 2
+    shared vCPUs, one-step fills in place inside each batch cut
+    trajectory-steps per second by 15% (6.37M -> 5.42M/s), and a two-slot
+    ring of one-step buffers by 16% (6.19M -> 5.18M/s).
     """
-    for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
-        out = batch[:, lo:hi]
-        drawn = scratch[:out.size].reshape(out.shape)
-        rng.standard_normal(out=drawn)
+    for j in chunks:
+        out = batch[:, bounds[j]:bounds[j + 1]]
+        drawn = out if out.flags.c_contiguous else scratch[:out.size].reshape(out.shape)
+        rngs[j].standard_normal(out=drawn)
         np.multiply(drawn, sqrt_dt, out=out)
 
 
 def _increments(rngs, bounds, noise_dim: int, dt: float, nsteps: int, producer):
     """Generator of the block's nsteps Wiener increments, one (rows,
-    noise_dim) array per step, valid until the next one is taken.  The
-    producer, a one-thread executor, fills the next batch while the caller
-    steps through the current one; without it (None) the caller fills each
-    batch as it reaches it."""
+    noise_dim) array per step, valid until the next one is taken.
+
+    Each batch hands its chunks out once, in chunk order, from one iterator,
+    whose next is atomic under the interpreter lock.  The producer, a
+    one-thread executor or None, takes chunks of the next batch while the
+    caller steps through the current one; the caller fills the chunks left
+    before it steps in.
+    """
     sqrt_dt = np.sqrt(dt)
     per = min(nsteps, max(1, BATCH_BYTES // max(1, 8 * bounds[-1] * noise_dim)))
     batches = np.empty((2, per, bounds[-1], noise_dim))
-    scratch = np.empty(per * CHUNK_SIZE * noise_dim)
+    # the producer's scratch buffer; a one-chunk block draws in place, and
+    # the caller draws through the other batch buffer, whose steps it has
+    # already taken
+    scratch = np.empty(per * CHUNK_SIZE * noise_dim) if producer and len(rngs) > 1 else None
     starts = range(0, nsteps, per)
 
-    def draw(k):
+    def hand_out(k):
         batch = batches[k % 2, :min(per, nsteps - starts[k])]
-        fill = (_fill, rngs, bounds, batch, sqrt_dt, scratch)
-        return batch, producer.submit(*fill).result if producer else partial(*fill)
+        chunks = iter(range(len(rngs)))
+        ahead = producer and producer.submit(_fill, rngs, bounds, batch, sqrt_dt,
+                                             scratch, chunks)
+        return batch, chunks, ahead
 
-    pending = draw(0)
+    pending = hand_out(0)
     for k in range(len(starts)):
-        batch, filled = pending
-        filled()
+        batch, chunks, ahead = pending
+        _fill(rngs, bounds, batch, sqrt_dt, batches[(k + 1) % 2].reshape(-1), chunks)
+        if ahead:
+            ahead.result()
         if k + 1 < len(starts):
-            pending = draw(k + 1)
+            pending = hand_out(k + 1)
         yield from batch
 
 

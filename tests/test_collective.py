@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from cavity_sr import collective
 from cavity_sr import (NumericalParams, collective_params,
-                       collective_twa_model, individual_params,
+                       collective_twa_model, individual_params, run_ensemble,
                        solve_meanfield_collective, solve_meanfield_individual,
                        validate_params)
 from cavity_sr.params import SystemParams
@@ -18,30 +19,29 @@ def cparams(**kw):
     return SystemParams(**defaults)
 
 
-def point(alpha, beta, eta):
-    """(1, 6) real state block holding one phase-space point."""
-    return np.array([[alpha, beta, eta]], dtype=complex).view(float)
+def state(block):
+    """Column-major (n, 3) complex state block of the (alpha, beta, eta) rows."""
+    return np.array(block, dtype=complex, order="F", ndmin=2)
 
 
 def drift_at(params, alpha, beta, eta):
     """(d_alpha, d_beta, d_eta) of the model drift at one point."""
-    out = np.empty((1, 6))
-    collective_twa_model(params).drift(point(alpha, beta, eta), out)
-    return out.view(complex)[0]
+    out = np.empty((1, 3), dtype=complex, order="F")
+    collective_twa_model(params).drift(state([alpha, beta, eta]), out)
+    return out[0]
 
 
 def noise_at(params, alpha, beta, eta, dW):
     """Model noise increments at one point for a 6-component Wiener block."""
-    out = np.empty((1, 6))
-    collective_twa_model(params).noise(point(alpha, beta, eta),
+    out = np.empty((1, 3), dtype=complex, order="F")
+    collective_twa_model(params).noise(state([alpha, beta, eta]),
                                        np.asarray(dW, dtype=float).reshape(1, 6), out)
-    return out.view(complex)[0]
+    return out[0]
 
 
 def observables_of(block):
     """Ensemble means of the model observables over a (n, 3) complex block."""
-    obs = collective_twa_model(cparams()).observables(
-        np.array(block, dtype=complex).view(float))
+    obs = collective_twa_model(cparams()).observables(state(block))
     return float(np.mean(obs["sz"])), float(np.mean(obs["photon"]))
 
 
@@ -105,14 +105,14 @@ class TestSampling:
     def test_vacuum_second_moment(self):
         rng = np.random.default_rng(123)
         block = collective_twa_model(cparams(n_atoms=10)).sample_initial(
-            1_000_000, rng).view(complex)
+            1_000_000, rng)
         assert np.mean(np.abs(block[:, 1]) ** 2) == pytest.approx(0.5, abs=0.002)
         assert np.mean(np.abs(block[:, 2]) ** 2) == pytest.approx(0.5, abs=0.002)
 
     def test_vacuum_mean_is_zero(self):
         rng = np.random.default_rng(7)
         block = collective_twa_model(cparams(n_atoms=10)).sample_initial(
-            1_000_000, rng).view(complex)
+            1_000_000, rng)
         sem = 0.5 / 1000.0   # std of Re/Im is 1/2
         assert abs(np.mean(block[:, 1])) < 3 * sem * np.sqrt(2)
         assert abs(np.mean(block[:, 2])) < 3 * sem * np.sqrt(2)
@@ -121,12 +121,12 @@ class TestSampling:
         rng = np.random.default_rng(5)
         p = cparams(n_atoms=64)
         y = collective_twa_model(p).sample_initial(1, rng)
-        assert abs(y.view(complex)[0, 0]) == pytest.approx(8.0)
+        assert abs(y[0, 0]) == pytest.approx(8.0)
 
     def test_phase_is_uniform(self):
         rng = np.random.default_rng(9)
         block = collective_twa_model(cparams(n_atoms=4)).sample_initial(
-            200_000, rng).view(complex)
+            200_000, rng)
         # mean of alpha vanishes only if the phase is spread over the circle
         assert abs(np.mean(block[:, 0])) < 0.02 * 2
 
@@ -152,7 +152,8 @@ class TestObservables:
 
 def docstring_kernels(p, y, dW):
     """Drift, noise and observables of the module docstring's Ito equations
-    on a whole (n, 6) block, each product in the docstring's association."""
+    on a whole interleaved (n, 6) float block, each product in the
+    docstring's association."""
     alpha, beta, eta = y.view(complex).T
     g, gam, kap = p.g, p.gamma, p.kappa
     w = dW.view(complex)
@@ -168,14 +169,20 @@ def docstring_kernels(p, y, dW):
             0.5 * (np.abs(alpha) ** 2 - np.abs(beta) ** 2), np.abs(eta) ** 2 - 0.5)
 
 
+def bits(x):
+    """The float64 words of x in row-major order, as uint64."""
+    return np.ascontiguousarray(x).view(float).view(np.uint64)
+
+
 class TestKernelBits:
     # couplings that are not powers of two, a detuning and gamma != 1, so a
     # reassociated product or a dropped term rounds differently
     PARAMS = dict(g=1.5, kappa=3.0, gamma=0.7, detuning=0.7)
 
     def test_kernels_match_the_docstring_formulas_bit_for_bit(self):
-        # a sampled (64, 6) block after 20 Euler-Maruyama steps, every other
-        # row then depleted to |alpha|^2 < 1/2, where beta's noise is clamped
+        # a sampled (64, 3) block after 20 Euler-Maruyama steps, every other
+        # row then depleted to |alpha|^2 < 1/2, where beta's noise is clamped;
+        # the formulas run on an interleaved row-major copy of the block
         p = cparams(n_atoms=2, **self.PARAMS)
         model = collective_twa_model(p)
         rng = np.random.default_rng(6)
@@ -186,14 +193,40 @@ class TestKernelBits:
             model.drift(y, d)
             model.noise(y, dW, z)
             y += d * 1e-3 + z
-        y.view(complex)[::2, 0] *= 0.4
+        y[::2, 0] *= 0.4
         model.drift(y, d)
         model.noise(y, dW, z)
         obs = model.observables(y)
-        assert np.any(np.abs(y.view(complex)[:, 0]) ** 2 < 0.5)
+        assert np.any(np.abs(y[:, 0]) ** 2 < 0.5)
         for got, want in zip((d, z, obs["sz"], obs["photon"]),
-                             docstring_kernels(p, y, dW)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                             docstring_kernels(p, np.ascontiguousarray(y).view(float), dW)):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_engine_steps_the_sampled_column_major_complex_block():
+    # two chunks, the second partial, in one block
+    params = collective_params(6, g=2.0, kappa=5.0)
+    model = collective_twa_model(params)
+    seen = []
+
+    def layout(*blocks):
+        seen.append(tuple((b.dtype, b.shape[1], b.flags.f_contiguous) for b in blocks))
+
+    def drift(y, out):
+        layout(y, out)
+        model.drift(y, out)
+
+    def noise(y, dW, out):
+        layout(y, out)
+        model.noise(y, dW, out)
+
+    sampled = model.sample_initial(5, np.random.default_rng(1))
+    assert sampled.dtype == np.complex128 and sampled.shape == (5, 3)
+    assert sampled.flags.f_contiguous and not sampled.flags.c_contiguous
+    num = NumericalParams(n_traj=300, seed=3, dt=1e-3, t_max=0.01)
+    run_ensemble(dataclasses.replace(model, drift=drift, noise=noise), params, num)
+    assert len(seen) == 2 * 10
+    assert set(seen) == {((np.dtype(complex), 3, True),) * 2}
 
 
 class TestMeanField:
@@ -263,10 +296,9 @@ class TestConservation:
 
     @staticmethod
     def invariants(y):
-        z = y.view(complex).reshape(-1, 3)
-        schwinger = np.abs(z[:, 0]) ** 2 + np.abs(z[:, 1]) ** 2
-        excitation = 0.5 * (np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2) \
-            + np.abs(z[:, 2]) ** 2
+        schwinger = np.abs(y[:, 0]) ** 2 + np.abs(y[:, 1]) ** 2
+        excitation = 0.5 * (np.abs(y[:, 0]) ** 2 - np.abs(y[:, 1]) ** 2) \
+            + np.abs(y[:, 2]) ** 2
         return schwinger, excitation
 
     def test_drift_conserves_schwinger_and_excitation_numbers(self):

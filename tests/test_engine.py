@@ -322,24 +322,52 @@ def test_chunk_moments_sum_each_chunk_in_row_order(depth, shapes):
     assert means.shape == m2s.shape == (depth, len(KEYS), j)
 
 
-def spy_fills(monkeypatch):
-    """Record the thread name of every engine._fill call; names, unlike
+class FillSpy:
+    """Wraps engine._fill.  calls records (thread name, live thread count)
+    for every call; fills records (thread name, batch, chunk) for every chunk
+    a call fills, batches numbered in the order their chunk hand-outs first
+    reach a call; steps holds each batch's step count.  Thread names, unlike
     thread idents, are not reused by later threads."""
-    threads, fill = [], engine._fill
 
-    def spy(*args, **kwargs):
-        threads.append(threading.current_thread().name)
-        return fill(*args, **kwargs)
-    monkeypatch.setattr(engine, "_fill", spy)
-    return threads
+    def __init__(self, monkeypatch):
+        self.calls, self.fills, self.steps = [], [], []
+        self._batches, self._lock, fill = {}, threading.Lock(), engine._fill
+
+        def spy(rngs, bounds, batch, sqrt_dt, scratch, chunks):
+            with self._lock:
+                self.calls.append((threading.current_thread().name,
+                                   threading.active_count()))
+                if chunks not in self._batches:
+                    self._batches[chunks] = len(self.steps)
+                    self.steps.append(len(batch))
+            return fill(rngs, bounds, batch, sqrt_dt, scratch,
+                        self._taken(chunks, self._batches[chunks]))
+        monkeypatch.setattr(engine, "_fill", spy)
+
+    def _taken(self, chunks, k):
+        """The chunks this call takes from the shared hand-out, each
+        recorded as it is taken."""
+        while True:
+            with self._lock:
+                j = next(chunks, None)
+                if j is None:
+                    return
+                self.fills.append((threading.current_thread().name, k, j))
+            yield j
+
+    def clear(self):
+        self.calls.clear()
+        self.fills.clear()
+        self.steps.clear()
 
 
-def drew_ahead(threads):
-    """True if every recorded fill ran off the calling thread, False if
-    every one ran on it."""
-    on_caller = {name == threading.current_thread().name for name in threads}
-    assert len(on_caller) == 1
-    return not on_caller.pop()
+def assert_fill_threads(spy, workers):
+    """Under a cap of 1 every fill runs on the calling thread; under a cap of
+    2 or more, fills run on it and on one producer for the whole run."""
+    caller = threading.current_thread().name
+    others = {name for name, _ in spy.calls} - {caller}
+    assert len(others) == (int(workers) > 1)
+    assert {name for name, _, _ in spy.fills} <= others | {caller}
 
 
 def test_drawing_ahead_gives_the_same_bits(monkeypatch):
@@ -351,22 +379,58 @@ def test_drawing_ahead_gives_the_same_bits(monkeypatch):
     nsteps = time_grid(num.dt, num.t_max)[0]
     per = BATCH_BYTES // (8 * num.n_traj * model.noise_dim)
     assert nsteps > 2 * per and nsteps % per
-    threads = spy_fills(monkeypatch)
+    spy = FillSpy(monkeypatch)
     runs = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # hand the interpreter lock over often
     try:
         for workers in ("1", "2"):
             monkeypatch.setenv(MAX_WORKERS_ENV, workers)
-            threads.clear()
+            spy.clear()
+            before = threading.active_count()
             runs[workers] = run_ensemble(model, params, num)
-            assert drew_ahead(threads) == (workers == "2")
-            # batches of per steps, filled on the caller or on the producer
-            assert len(threads) == -(-nsteps // per)
+            assert threading.active_count() == before
+            assert_fill_threads(spy, workers)
+            # batches of per steps, each chunk filled once per batch
+            assert len(spy.steps) == -(-nsteps // per)
+            assert len(spy.fills) == 2 * len(spy.steps)
     finally:
         sys.setswitchinterval(interval)
     for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
         np.testing.assert_array_equal(getattr(runs["1"], field), getattr(runs["2"], field))
+
+
+def test_both_threads_fill_each_chunk_once_in_step_order(monkeypatch):
+    # one block of three chunks, the last one partial, under the cap of 2:
+    # the calling thread fills the chunks of each batch that the producer
+    # has not taken
+    params = collective_params(20, g=4.0, kappa=10.0)
+    num = NumericalParams(n_traj=600, seed=7, dt=1e-3, t_max=0.2)
+    model = collective_twa_model(params)
+    nsteps = time_grid(num.dt, num.t_max)[0]
+    batches = -(-nsteps // (BATCH_BYTES // (8 * num.n_traj * model.noise_dim)))
+    assert batches > 2
+    spy = FillSpy(monkeypatch)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # hand the interpreter lock over often
+    try:
+        for workers in ("1", "2"):
+            monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+            spy.clear()
+            before = threading.active_count()
+            runs[workers] = run_ensemble(model, params, num)
+            assert threading.active_count() == before
+            assert_fill_threads(spy, workers)
+            filled = [(k, j) for _, k, j in spy.fills]
+            assert sorted(filled) == [(k, j) for k in range(batches) for j in range(3)]
+            for j in range(3):
+                assert [k for k, c in filled if c == j] == list(range(batches))
+    finally:
+        sys.setswitchinterval(interval)
+    for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
+        np.testing.assert_array_equal(getattr(runs["1"], field).view(np.uint64),
+                                      getattr(runs["2"], field).view(np.uint64))
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
@@ -375,11 +439,11 @@ def test_budget_counts_only_the_cpus_the_process_may_run_on(monkeypatch, cpus):
     monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    threads = spy_fills(monkeypatch)
+    spy = FillSpy(monkeypatch)
     params = collective_params(20, g=4.0, kappa=10.0)
     num = NumericalParams(n_traj=300, seed=2, dt=1e-3, t_max=0.05)
     run_ensemble(collective_twa_model(params), params, num)
-    assert drew_ahead(threads) == (len(cpus) > 1)
+    assert_fill_threads(spy, len(cpus))
 
 
 @pytest.mark.parametrize("cpus, budget", [(3, 3), (None, 1)])
@@ -400,24 +464,19 @@ def test_every_block_draws_ahead_on_one_producer(monkeypatch):
     nsteps = time_grid(num.dt, num.t_max)[0]
     per = BATCH_BYTES // (8 * CHUNK_SIZE * model.noise_dim)
     assert 1 < per < nsteps
-    fills, fill = [], engine._fill
-
-    def spy(rngs, bounds, batch, *args):
-        fills.append((threading.current_thread().name, len(batch),
-                      threading.active_count()))
-        return fill(rngs, bounds, batch, *args)
-    monkeypatch.setattr(engine, "_fill", spy)
+    spy = FillSpy(monkeypatch)
     runs = {}
     for workers in ("1", "8"):
         monkeypatch.setenv(MAX_WORKERS_ENV, workers)
-        fills.clear()
+        spy.clear()
         before = threading.active_count()
         runs[workers] = run_ensemble(model, params, num)
-    assert all(name != threading.current_thread().name for name, _, _ in fills)
-    assert len({name for name, _, _ in fills}) == 1     # one producer for the run
+        assert threading.active_count() == before
+    assert_fill_threads(spy, "8")       # one producer for the run
     block = [per] * (nsteps // per) + [nsteps % per] * (nsteps % per > 0)
-    assert [steps for _, steps, _ in fills] == 2 * block
-    assert max(alive for _, _, alive in fills) <= before + 1
+    assert spy.steps == 2 * block
+    assert len(spy.fills) == len(spy.steps)     # one chunk a block
+    assert max(alive for _, alive in spy.calls) <= before + 1
     for field in ("sz_mean", "sz_sem", "photon_mean", "photon_sem"):
         np.testing.assert_array_equal(getattr(runs["1"], field), getattr(runs["8"], field))
 
@@ -426,15 +485,14 @@ def test_every_block_draws_ahead_on_one_producer(monkeypatch):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_rerun_of_divergent_chunks_matches_history_reduction(monkeypatch, workers):
     # both chunks of the one block hold a divergent trajectory and run again
-    # alone, on the run's one producer under the cap of 2
+    # alone, drawn with the run's one producer under the cap of 2
     monkeypatch.setenv(MAX_WORKERS_ENV, workers)
-    threads = spy_fills(monkeypatch)
+    spy = FillSpy(monkeypatch)
     params = individual_params(n_atoms=1)
     num = NumericalParams(n_traj=300, seed=5, dt=0.01, t_max=0.5)
     model = divergent_model(0.02, sigma=0.3)
     series = run_ensemble(model, params, num)
-    assert drew_ahead(threads) == (workers == "2")
-    assert len(set(threads)) == 1
+    assert_fill_threads(spy, workers)
     with np.errstate(over="ignore", invalid="ignore"):
         totals, n_div = history_reduction(model, num)
     assert series.n_divergent == n_div > 1
@@ -516,10 +574,10 @@ def failing_drift_model(after):
 @pytest.mark.parametrize("fails", ["drift", "draw"])
 def test_failure_propagates_and_stops_the_producer(monkeypatch, workers, fails):
     monkeypatch.setenv(MAX_WORKERS_ENV, workers)
-    threads = spy_fills(monkeypatch)
+    spy = FillSpy(monkeypatch)
     # 600 one-float trajectories: one block of three chunks.  Each stream's
     # fourth draw, of a batch of steps, fails mid-run, on the calling thread
-    # under the cap of 1 and on the producer under the cap of 2
+    # under the cap of 1 and on whichever thread draws it under the cap of 2
     num = NumericalParams(n_traj=600, seed=1, dt=1e-3, t_max=1.0)
     assert 3 * (BATCH_BYTES // (8 * num.n_traj)) < time_grid(num.dt, num.t_max)[0]
     if fails == "draw":
@@ -533,7 +591,7 @@ def test_failure_propagates_and_stops_the_producer(monkeypatch, workers, fails):
     with pytest.raises(FloatingPointError, match=f"{fails} failed"):
         run_ensemble(model, individual_params(n_atoms=1), num)
     assert threading.active_count() == before
-    assert drew_ahead(threads) == (workers == "2")
+    assert_fill_threads(spy, workers)
 
 
 def test_dtwa_free_decay_matches_exact_solution():
