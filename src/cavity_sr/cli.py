@@ -21,8 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .analysis import (FREE_KEYS, ConvergenceVerdict, IncomparableReportsError,
-                       UnresolvedBurstError, convergence_check, power_law_fit,
+from .analysis import (FREE_KEYS, ConvergenceVerdict, convergence_check, power_law_fit,
                        scaling_sweep, sweep_configs)
 from .engine import thread_budget
 from .fileio import (read_points_file, read_report, write_manifest, write_report,
@@ -203,10 +202,10 @@ def cli_dispatch(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigurationError, IncomparableReportsError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UnresolvedBurstError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -42,8 +42,8 @@ next batch while the calling thread integrates the current one; before the
 calling thread steps into a batch it fills the chunks the producer has not
 taken.  With a budget of one the calling thread fills each batch as it
 reaches it.  Either way each chunk's slice of a batch is drawn once, from
-its own stream, in step order, so the output bits do not depend on who
-draws or on the budget.
+its own stream, in step order, into the slice or a temporary of its own (see
+_fill), so the output bits do not depend on who draws or on the budget.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Callable, Dict
 
 import numpy as np
@@ -151,25 +151,26 @@ def _moments(x: np.ndarray, shapes):
     return np.concatenate(means, axis=-1), np.concatenate(m2s, axis=-1)
 
 
-def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, scratch, chunks):
+def _fill(rngs, bounds, batch: np.ndarray, sqrt_dt: float, chunks):
     """Fill each chunk this thread takes from the shared hand-out chunks
     with the block's next steps of Wiener increments, scaled by sqrt_dt, in
     a (steps, rows, noise_dim) batch.
 
     Chunk j owns rows bounds[j]:bounds[j + 1] and draws all the batch's steps
     from rngs[j] in one call, in C order, the order in which one draw per
-    step would consume the stream, then scales them: in place where its rows
-    are the whole batch, else on their way from the flat scratch buffer into
-    the batch, so the bits do not depend on which way it took.  One call per
-    chunk per batch keeps the calls few, and the cost of a producer thread
-    grows with its call count: over 10 paired twa-sweep benchmark runs on 2
-    shared vCPUs, one-step fills in place inside each batch cut
-    trajectory-steps per second by 15% (6.37M -> 5.42M/s), and a two-slot
-    ring of one-step buffers by 16% (6.19M -> 5.18M/s).
+    step would consume the stream, then scales them: in place where its
+    slice is C-contiguous (every one-chunk block), else on their way from a
+    temporary of its own.  Either way gives the same bits, and no draw writes
+    into memory that another step or thread can see.  One call per chunk per
+    batch keeps the calls few, and the cost of a producer thread grows with
+    its call count: over 10 paired twa-sweep benchmark runs on 2 shared
+    vCPUs, one-step fills in place inside each batch cut trajectory-steps per
+    second by 15% (6.37M -> 5.42M/s), and a two-slot ring of one-step buffers
+    by 16% (6.19M -> 5.18M/s).
     """
     for j in chunks:
         out = batch[:, bounds[j]:bounds[j + 1]]
-        drawn = out if out.flags.c_contiguous else scratch[:out.size].reshape(out.shape)
+        drawn = out if out.flags.c_contiguous else np.empty(out.shape)
         rngs[j].standard_normal(out=drawn)
         np.multiply(drawn, sqrt_dt, out=out)
 
@@ -182,28 +183,23 @@ def _increments(rngs, bounds, noise_dim: int, dt: float, nsteps: int, producer):
     whose next is atomic under the interpreter lock.  The producer, a
     one-thread executor or None, takes chunks of the next batch while the
     caller steps through the current one; the caller fills the chunks left
-    before it steps in.
+    before it steps in, each into its slice or a temporary of its own.
     """
     sqrt_dt = np.sqrt(dt)
     per = min(nsteps, max(1, BATCH_BYTES // max(1, 8 * bounds[-1] * noise_dim)))
     batches = np.empty((2, per, bounds[-1], noise_dim))
-    # the producer's scratch buffer; a one-chunk block draws in place, and
-    # the caller draws through the other batch buffer, whose steps it has
-    # already taken
-    scratch = np.empty(per * CHUNK_SIZE * noise_dim) if producer and len(rngs) > 1 else None
     starts = range(0, nsteps, per)
 
     def hand_out(k):
         batch = batches[k % 2, :min(per, nsteps - starts[k])]
         chunks = iter(range(len(rngs)))
-        ahead = producer and producer.submit(_fill, rngs, bounds, batch, sqrt_dt,
-                                             scratch, chunks)
+        ahead = producer and producer.submit(_fill, rngs, bounds, batch, sqrt_dt, chunks)
         return batch, chunks, ahead
 
     pending = hand_out(0)
     for k in range(len(starts)):
         batch, chunks, ahead = pending
-        _fill(rngs, bounds, batch, sqrt_dt, batches[(k + 1) % 2].reshape(-1), chunks)
+        _fill(rngs, bounds, batch, sqrt_dt, chunks)
         if ahead:
             ahead.result()
         if k + 1 < len(starts):
@@ -211,10 +207,10 @@ def _increments(rngs, bounds, noise_dim: int, dt: float, nsteps: int, producer):
         yield from batch
 
 
-def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
-               dt: float, nsteps: int, stride: int, producer, keep=None):
+def _run_block(model: EnsembleModel, first: int, sizes: list, num: NumericalParams,
+               producer, keep=None):
     """Integrate the consecutive chunks first, first + 1, ... as one state
-    block.
+    block over num's time grid.
 
     Returns one (count, mean, M2) per chunk, mean and M2 being (records,
     KEYS) arrays over both observables, and per-chunk masks of the
@@ -225,14 +221,15 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     statistics.  producer, if not None, draws the Wiener increments ahead
     (see _increments).
     """
-    rngs = [chunk_stream(master_seed, first + j) for j in range(len(sizes))]
+    nsteps, stride, times = time_grid(num.dt, num.t_max)
+    rngs = [chunk_stream(num.seed, first + j) for j in range(len(sizes))]
     y = np.concatenate([model.sample_initial(n, rng) for n, rng in zip(sizes, rngs)])
     drift = np.empty_like(y)
     noise = np.empty_like(y)
     bounds = np.cumsum([0] + sizes).tolist()
     counts = sizes if keep is None else [int(keep.sum())]
     shapes = [(len(list(group)), rows) for rows, group in groupby(counts)]
-    n_rec = nsteps // stride + 1
+    n_rec = len(times)
     mean = np.empty((n_rec, len(KEYS), len(sizes)))
     m2 = np.empty_like(mean)
     # the latest records, reduced together once the buffer is full, so a
@@ -240,30 +237,26 @@ def _run_block(model: EnsembleModel, first: int, sizes: list, master_seed: int,
     depth = min(n_rec, max(1, BLOCK_BYTES // (8 * len(KEYS) * len(y))))
     rec = np.empty((depth, len(KEYS), len(y)))
     finite = np.ones(len(y), dtype=bool)
-    increments = _increments(rngs, bounds, model.noise_dim, dt, nsteps, producer)
+    increments = _increments(rngs, bounds, model.noise_dim, num.dt, nsteps, producer)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(nsteps + 1):
-            if step % stride == 0:
-                k = step // stride
-                j = k % depth
-                obs = model.observables(y)
-                for i, key in enumerate(KEYS):
-                    rec[j, i] = obs[key]
-                if j == depth - 1 or k == n_rec - 1:
-                    batch = rec[:j + 1]
-                    finite &= np.isfinite(batch).all(axis=(0, 1))
-                    mean[k - j:k + 1], m2[k - j:k + 1] = _moments(
-                        batch if keep is None else batch[..., keep], shapes)
-            if step == nsteps:
-                break
-            dW = next(increments)
-            # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place:
-            # strong order 0.5, weak order 1
-            model.drift(y, drift)
-            model.noise(y, dW, noise)
-            drift *= dt
-            y += drift
-            y += noise
+        for k in range(n_rec):
+            j = k % depth
+            obs = model.observables(y)
+            for i, key in enumerate(KEYS):
+                rec[j, i] = obs[key]
+            if j == depth - 1 or k == n_rec - 1:
+                batch = rec[:j + 1]
+                finite &= np.isfinite(batch).all(axis=(0, 1))
+                mean[k - j:k + 1], m2[k - j:k + 1] = _moments(
+                    batch if keep is None else batch[..., keep], shapes)
+            for dW in islice(increments, stride):
+                # Euler-Maruyama, y + drift(y)*dt + noise(y, dW), in place:
+                # strong order 0.5, weak order 1
+                model.drift(y, drift)
+                model.noise(y, dW, noise)
+                drift *= num.dt
+                y += drift
+                y += noise
     finite &= np.isfinite(y).all(axis=1)
     stats = [(n, mean[..., j], m2[..., j]) for j, n in enumerate(counts)]
     return stats, np.split(finite, bounds[1:-1])
@@ -294,10 +287,8 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
     Divergent (non-finite) trajectories are excluded and counted; if all
     diverge the run fails.
     """
-    nsteps, stride, times = time_grid(num.dt, num.t_max)
-    sizes = [CHUNK_SIZE] * (num.n_traj // CHUNK_SIZE)
-    if num.n_traj % CHUNK_SIZE:
-        sizes.append(num.n_traj % CHUNK_SIZE)
+    times = time_grid(num.dt, num.t_max)[2]
+    sizes = [min(CHUNK_SIZE, num.n_traj - lo) for lo in range(0, num.n_traj, CHUNK_SIZE)]
 
     per_block = max(1, BLOCK_BYTES // (CHUNK_SIZE * 8 * model.state_dim))
     n_div = 0
@@ -307,17 +298,15 @@ def run_ensemble(model: EnsembleModel, params: SystemParams,
           else nullcontext()) as producer:
         for first in range(0, len(sizes), per_block):
             block = sizes[first:first + per_block]
-            stats, finite = _run_block(model, first, block, num.seed, num.dt, nsteps,
-                                       stride, producer)
+            stats, finite = _run_block(model, first, block, num, producer)
             for j, keep in enumerate(finite):
                 if not keep.all():
                     # integrate the chunk again alone without its divergent
                     # rows: rare, and cheaper than keeping every
                     # trajectory's record history for it
                     n_div += len(keep) - int(keep.sum())
-                    stats[j] = (_run_block(model, first + j, [block[j]], num.seed, num.dt,
-                                           nsteps, stride, producer, keep)[0][0]
-                                if keep.any() else (0, None, None))
+                    stats[j] = (_run_block(model, first + j, [block[j]], num, producer,
+                                           keep)[0][0] if keep.any() else (0, None, None))
                 total = _merge(total, stats[j])
 
     n, mean, m2 = total

@@ -187,6 +187,37 @@ def test_engine_keeps_the_model_layout():
                                       getattr(runs["C"], field).view(np.uint64))
 
 
+def counting_model(calls):
+    """ou_model whose drift, noise and observables count their calls in the
+    dict calls."""
+    model = ou_model(0.5)
+
+    def counted(name):
+        kernel = getattr(model, name)
+
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+    return dataclasses.replace(model, **{name: counted(name) for name in calls})
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("dt, t_max, stride", [(0.01, 1.0, 1), (1e-3, 2.5, 3)])
+def test_one_block_steps_nsteps_times_and_records_each_time(monkeypatch, workers,
+                                                            dt, t_max, stride):
+    # 300 one-float trajectories: one block of a full and a partial chunk.
+    # drift and noise run once per Euler step, observables once per record
+    monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+    num = NumericalParams(n_traj=300, seed=6, dt=dt, t_max=t_max)
+    nsteps, grid_stride, times = time_grid(num.dt, num.t_max)
+    assert grid_stride == stride
+    calls = {"drift": 0, "noise": 0, "observables": 0}
+    series = run_ensemble(counting_model(calls), individual_params(n_atoms=1), num)
+    assert calls == {"drift": nsteps, "noise": nsteps, "observables": len(times)}
+    np.testing.assert_array_equal(series.times, times)
+
+
 def divergent_model(fraction, sigma=None):
     """Blows up trajectories whose initial marker exceeds 1 - fraction; the
     others decay from a random sz, so their per-chunk sums depend on order.
@@ -333,14 +364,14 @@ class FillSpy:
         self.calls, self.fills, self.steps = [], [], []
         self._batches, self._lock, fill = {}, threading.Lock(), engine._fill
 
-        def spy(rngs, bounds, batch, sqrt_dt, scratch, chunks):
+        def spy(rngs, bounds, batch, sqrt_dt, chunks):
             with self._lock:
                 self.calls.append((threading.current_thread().name,
                                    threading.active_count()))
                 if chunks not in self._batches:
                     self._batches[chunks] = len(self.steps)
                     self.steps.append(len(batch))
-            return fill(rngs, bounds, batch, sqrt_dt, scratch,
+            return fill(rngs, bounds, batch, sqrt_dt,
                         self._taken(chunks, self._batches[chunks]))
         monkeypatch.setattr(engine, "_fill", spy)
 
